@@ -10,14 +10,17 @@ state. An optional prior head predicts the next symbol from the previous
 read, giving a learned message prior.
 
 Everything here is batched: meanings/messages come in lists, tensors carry a
-leading batch axis, and per-item termination is handled with constant 0/1
-masks that freeze finished rows (h, c and the stack stop changing once an
-item's EOS has been processed, which matches running each item on its own).
+leading batch axis, and per-item termination freezes finished rows (h, c and
+the stack stop changing once an item's EOS has been processed, which matches
+running each item on its own). The LSTM cells take the bool ``alive`` mask
+directly; the stack read and the per-step log-prob terms use constant 0/1
+masks.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,7 +150,13 @@ class Embedding(ParamModule):
 
 
 class LstmCell(ParamModule):
-    """Packed-gate LSTM (order i, f, g, o); forget-gate bias starts at 1."""
+    """Packed-gate LSTM (order i, f, g, o); forget-gate bias starts at 1.
+
+    A step is one ``diffengine.lstm_cell`` record with a hand-written
+    backward. Finished rows are frozen by passing the bool ``alive`` mask to
+    ``step``: the op returns their ``h``/``c`` unchanged, so the freeze needs
+    no (keep, drop) float mask tensors and no scale_rows/add pairs.
+    """
 
     _params = ("W", "b")
 
@@ -158,32 +167,20 @@ class LstmCell(ParamModule):
         b[hidden : 2 * hidden] = 1.0
         self.b = Tensor._wrap(b)
 
-    def step(self, x, h, c, keep=None):
-        """One step over a batch; ``keep`` = (keep_mask, drop_mask) constant
-        tensors freeze rows whose item already finished."""
-        nH = self.hidden
-        z = de.add_bias(de.matmul(de.concat([x, h]), self.W), self.b)
-        i = de.sigmoid(de.slice_last(z, 0, nH))
-        f = de.sigmoid(de.slice_last(z, nH, 2 * nH))
-        g = de.tanh(de.slice_last(z, 2 * nH, 3 * nH))
-        o = de.sigmoid(de.slice_last(z, 3 * nH, 4 * nH))
-        c2 = de.add(de.mul(f, c), de.mul(i, g))
-        h2 = de.mul(o, de.tanh(c2))
-        if keep is not None:
-            kp, dp = keep
-            h2 = de.add(de.scale_rows(h2, kp), de.scale_rows(h, dp))
-            c2 = de.add(de.scale_rows(c2, kp), de.scale_rows(c, dp))
-        return h2, c2
+    def step(self, x, h, c, alive=None):
+        """One step over a batch, returning ``(h2, c2)``. Rows where the
+        [B] bool ``alive`` is False (their item already finished) keep their
+        ``h`` and ``c``."""
+        return de.lstm_cell(x, h, c, self.W, self.b, alive)
 
 
 def _tile_rows(vec, n):
     return de.add_bias(de.zeros((n, vec.shape[0]), dtype=vec.dtype), vec)
 
 
-def _mask_pair(alive, dtype):
-    kp = Tensor._wrap(alive.astype(dtype))
-    dp = Tensor._wrap((~alive).astype(dtype))
-    return kp, dp
+def _row_mask(alive, dtype):
+    """Constant 0/1 [B] tensor: 1 on rows whose item is still running."""
+    return Tensor._wrap(alive.astype(dtype))
 
 
 def _sample_rows(p, rng):
@@ -255,10 +252,30 @@ def as_message_batch(messages, max_len, vocab):
 
 @dataclass
 class EmitResult:
-    messages: list
+    """An emitted batch. ``messages`` (one ``Message`` per item) is built on
+    first access; training and evaluation read only ``batch`` and the
+    tensors."""
+
     batch: MessageBatch
     log_probs: Tensor  # [B], on the active tape
     entropies: Tensor  # [B], sum of per-step emission entropies
+    step_log_probs: np.ndarray  # [B, T], log-prob of each emitted symbol
+    step_entropies: np.ndarray  # [B, T], emission entropy of each step
+
+    @functools.cached_property
+    def messages(self):
+        out = []
+        for b, m in enumerate(self.batch.lengths.tolist()):
+            out.append(
+                Message(
+                    symbols=tuple(self.batch.symbols[b, :m].tolist()),
+                    log_prob=float(self.log_probs.data[b]),
+                    entropy=float(self.entropies.data[b]),
+                    step_log_probs=tuple(self.step_log_probs[b, :m].tolist()),
+                    step_entropies=tuple(self.step_entropies[b, :m].tolist()),
+                )
+            )
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +327,8 @@ class TokenSeqEncoder(ParamModule):
         for b, t in enumerate(toks):
             padded[b, : len(t)] = t
         for t in range(t_max):
-            alive = t < lengths
-            keep = None if alive.all() else _mask_pair(alive, self.dtype)
             x = self.emb(padded[:, t])
-            h, c = self.cell.step(x, h, c, keep)
+            h, c = self.cell.step(x, h, c, t < lengths)
         return h, c
 
 
@@ -366,8 +381,8 @@ class Sender(ParamModule):
         for t in range(self.max_len):
             if t > 0:
                 x = self.emb(sym_steps[-1])
-            keep = None if alive.all() else _mask_pair(alive, self.dtype)
-            h, c = self.cell.step(x, h, c, keep)
+            keep = None if alive.all() else _row_mask(alive, self.dtype)
+            h, c = self.cell.step(x, h, c, alive)
             logits = self.out(h)
             logp = de.log_softmax(logits)
             sym = np.where(alive, next_symbol(t, logp.data), EOS)
@@ -377,8 +392,8 @@ class Sender(ParamModule):
             step_logps.append(picked.data)
             step_ents.append(ent.data)
             if keep is not None:
-                picked = de.mul(picked, keep[0])
-                ent = de.mul(ent, keep[0])
+                picked = de.mul(picked, keep)
+                ent = de.mul(ent, keep)
             log_prob = picked if log_prob is None else de.add(log_prob, picked)
             entropy = ent if entropy is None else de.add(entropy, ent)
             sym_steps.append(sym)
@@ -404,22 +419,8 @@ class Sender(ParamModule):
         else:
             raise AgentError(f"unknown emission mode {mode!r}")
         symbols, alive, log_prob, entropy, detail = self._unroll(state, n, pick)
-        lengths = alive.sum(axis=1)
-        logps, ents = detail
-        messages = []
-        for b in range(n):
-            m = int(lengths[b])
-            messages.append(
-                Message(
-                    symbols=tuple(int(s) for s in symbols[b, :m]),
-                    log_prob=float(log_prob.data[b]),
-                    entropy=float(entropy.data[b]),
-                    step_log_probs=tuple(float(v) for v in logps[b, :m]),
-                    step_entropies=tuple(float(v) for v in ents[b, :m]),
-                )
-            )
-        batch = MessageBatch(symbols, lengths)
-        return EmitResult(messages, batch, log_prob, entropy)
+        batch = MessageBatch(symbols, alive.sum(axis=1))
+        return EmitResult(batch, log_prob, entropy, *detail)
 
     def score(self, state, messages):
         """Log S(m | state) for given messages, [B] on the active tape."""
@@ -567,9 +568,9 @@ class Receiver(ParamModule):
             frozen_draws = self._random_directives(rng, n)
         for t in range(t_max):
             alive = t < batch.lengths
-            keep = None if alive.all() else _mask_pair(alive, self.dtype)
+            keep = None if alive.all() else _row_mask(alive, self.dtype)
             x = self.emb(batch.symbols[:, t])
-            h, c = self.cell.step(de.concat([x, read]), h, c, keep)
+            h, c = self.cell.step(de.concat([x, read]), h, c, alive)
             v = de.tanh(self.to_value(h))
             if strategy is Strategy.LEARNED:
                 u = de.mul(de.sigmoid(self.to_u(h)), self.k_u)
@@ -583,15 +584,14 @@ class Receiver(ParamModule):
                 u, d, r = self._random_directives(rng, n)
             if keep is not None:
                 # finished rows stop popping and push nothing
-                u = de.mul(u, keep[0])
-                d = de.mul(d, keep[0])
+                u = de.mul(u, keep)
+                d = de.mul(d, keep)
             stack, new_read = stack_step(stack, StackDirectives(v=v, u=u, d=d, r=r))
             if keep is None:
                 read = new_read
             else:
-                read = de.add(
-                    de.scale_rows(new_read, keep[0]), de.scale_rows(read, keep[1])
-                )
+                drop = _row_mask(~alive, self.dtype)
+                read = de.add(de.scale_rows(new_read, keep), de.scale_rows(read, drop))
             reads.append(read)
             if want_trace:
                 trace.append(StepTrace(push_value=v, read=new_read, u=u, d=d, r=r))
@@ -627,14 +627,14 @@ class Receiver(ParamModule):
         total = None
         for t in range(t_tot):
             alive = t <= lengths
-            keep = None if alive.all() else _mask_pair(alive, self.dtype)
+            keep = None if alive.all() else _row_mask(alive, self.dtype)
             if t > 0:
                 x = self.dec_emb(targets[:, t - 1])
-            h, c = self.dec_cell.step(x, h, c, keep)
+            h, c = self.dec_cell.step(x, h, c, alive)
             lp = de.log_softmax(self.dec_out(h))
             term = de.take_last(lp, targets[:, t])
             if keep is not None:
-                term = de.mul(term, keep[0])
+                term = de.mul(term, keep)
             total = term if total is None else de.add(total, term)
         return total
 
@@ -688,10 +688,10 @@ class Receiver(ParamModule):
         total = None
         for t in range(t_max):
             alive = t < batch.lengths
-            keep = None if alive.all() else _mask_pair(alive, self.dtype)
+            keep = None if alive.all() else _row_mask(alive, self.dtype)
             lp = self.prior_step(reads[t])
             term = de.take_last(lp, batch.symbols[:, t])
             if keep is not None:
-                term = de.mul(term, keep[0])
+                term = de.mul(term, keep)
             total = term if total is None else de.add(total, term)
         return total

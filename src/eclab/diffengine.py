@@ -7,6 +7,12 @@ accumulates cotangents keyed by tensor identity. With no tape active the ops
 are plain numpy calls, which keeps evaluation-only code (greedy decoding,
 metrics) fast.
 
+A record's ``out`` may also be a tuple of tensors (a fused op with several
+outputs). Its backward then receives a tuple with one cotangent per output,
+``None`` for an output the loss does not reach, and runs as soon as any
+output has a cotangent. ``lstm_cell`` is such an op: one LSTM step, with its
+row freeze, as a single record with a hand-written backward.
+
 Shape discipline is explicit: binary ops accept equal shapes, a python number,
 or a 0-d tensor -- nothing else. The row-wise helpers (``add_bias``,
 ``scale_rows``, ``take_rows``, ``take_last``) cover the patterns that would
@@ -155,7 +161,10 @@ def _record(out, inputs, bw):
     if _TAPES:
         tape = _TAPES[-1]
         tape._nodes.append((out, inputs, bw))
-        tape._out_ids.add(id(out))
+        if isinstance(out, tuple):
+            tape._out_ids.update(id(o) for o in out)
+        else:
+            tape._out_ids.add(id(out))
 
 
 def _note_kink(a, b):
@@ -172,6 +181,17 @@ def _finish(arr, op, inputs, bw):
     if DEBUG_FINITE and not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite values in output of {op}")
     out = Tensor._wrap(arr)
+    _record(out, inputs, bw)
+    return out
+
+
+def _finish_many(arrs, op, inputs, bw):
+    # _finish for an op with several outputs: one record, a tuple of tensors.
+    if DEBUG_FINITE:
+        for k, arr in enumerate(arrs):
+            if not np.all(np.isfinite(arr)):
+                raise NonFiniteError(f"non-finite values in output {k} of {op}")
+    out = tuple(Tensor._wrap(arr) for arr in arrs)
     _record(out, inputs, bw)
     return out
 
@@ -431,6 +451,114 @@ def slice_last(x, lo, hi):
 
 
 # ---------------------------------------------------------------------------
+# fused ops
+
+
+def _sigmoid_inplace(v):
+    # same arithmetic as ``sigmoid``: 1 / (1 + exp(-v))
+    np.negative(v, out=v)
+    np.exp(v, out=v)
+    v += 1.0
+    np.reciprocal(v, out=v)
+
+
+def _with_rows(base, shape, rows, vals):
+    # a copy of ``base`` (zeros when None) with ``rows`` replaced by ``vals``
+    out = np.zeros(shape, vals.dtype) if base is None else np.array(base, vals.dtype)
+    out[rows] = vals
+    return out
+
+
+def lstm_cell(x, h, c, W, b, alive=None):
+    """One packed-gate LSTM step (gate order i, f, g, o) as a single record.
+
+    ``x`` is [B, n_in], ``h`` and ``c`` are [B, H], ``W`` is [n_in + H, 4H]
+    and ``b`` is [4H]. Returns ``(h2, c2)``::
+
+        z = [x, h] @ W + b
+        i, f, o = sigmoid(z_i), sigmoid(z_f), sigmoid(z_o);  g = tanh(z_g)
+        c2 = f * c + i * g;  h2 = o * tanh(c2)
+
+    ``alive`` is an optional [B] bool mask: rows where it is False are frozen,
+    so they return ``h`` and ``c`` unchanged and pass the cotangents of
+    ``h2``/``c2`` straight back to ``h``/``c``. Only the live rows go through
+    the gates, forward and backward. For backward the record keeps only, over
+    the live rows, ``[x, h]``, the gate activations [B, 4H], ``c`` and
+    ``tanh(c2)``.
+    """
+    if x.ndim != 2 or h.ndim != 2 or h.shape != c.shape or x.shape[0] != h.shape[0]:
+        raise ShapeError(
+            f"lstm_cell: incompatible shapes x {x.shape}, h {h.shape}, c {c.shape}"
+        )
+    n_in, nH = x.shape[1], h.shape[1]
+    if W.shape != (n_in + nH, 4 * nH) or b.shape != (4 * nH,):
+        raise ShapeError(
+            f"lstm_cell: W {W.shape} and b {b.shape} do not fit "
+            f"input {n_in}, hidden {nH}"
+        )
+    dtypes = {t.data.dtype for t in (x, h, c, W, b)}
+    if len(dtypes) != 1:
+        raise ShapeError(f"lstm_cell: dtype mismatch {sorted(map(str, dtypes))}")
+    rows = None  # indices of the live rows when some rows are frozen
+    if alive is not None:
+        alive = np.asarray(alive, dtype=bool)
+        if alive.shape != (h.shape[0],):
+            raise ShapeError(
+                f"lstm_cell: alive mask {alive.shape} for batch {h.shape[0]}"
+            )
+        if not alive.all():
+            rows = np.flatnonzero(alive)
+
+    def live(a):
+        return a if rows is None else a[rows]
+
+    cd = live(c.data)
+    xh = np.concatenate((live(x.data), live(h.data)), axis=1)
+    act = xh @ W.data
+    act += b.data
+    _sigmoid_inplace(act[:, : 2 * nH])
+    np.tanh(act[:, 2 * nH : 3 * nH], out=act[:, 2 * nH : 3 * nH])
+    _sigmoid_inplace(act[:, 3 * nH :])
+    i, f, g, o = (act[:, k * nH : (k + 1) * nH] for k in range(4))
+    c2 = f * cd
+    c2 += i * g
+    tc = np.tanh(c2)
+    h2 = o * tc
+    if rows is not None:
+        h2 = _with_rows(h.data, h.shape, rows, h2)
+        c2 = _with_rows(c.data, c.shape, rows, c2)
+    Wd = W.data
+
+    def bw(gs):
+        gh, gc = gs
+        gh_live = None if gh is None else live(gh)
+        gc_live = None if gc is None else live(gc)
+        dz = np.empty_like(act)
+        di, df, dg, do = (dz[:, k * nH : (k + 1) * nH] for k in range(4))
+        if gh_live is None:
+            dc2 = gc_live
+            do[...] = 0.0
+        else:
+            dc2 = gh_live * o * (1.0 - tc * tc)
+            if gc_live is not None:
+                dc2 += gc_live
+            np.multiply(gh_live * tc, o * (1.0 - o), out=do)
+        np.multiply(dc2 * g, i * (1.0 - i), out=di)
+        np.multiply(dc2 * cd, f * (1.0 - f), out=df)
+        np.multiply(dc2 * i, 1.0 - g * g, out=dg)
+        dxh = dz @ Wd.T
+        dx, dh, dc = dxh[:, :n_in], dxh[:, n_in:], dc2 * f
+        if rows is not None:
+            # frozen rows pass their cotangents straight back to h and c
+            dx = _with_rows(None, x.shape, rows, dx)
+            dh = _with_rows(gh, h.shape, rows, dh)
+            dc = _with_rows(gc, c.shape, rows, dc)
+        return dx, dh, dc, xh.T @ dz, dz.sum(axis=0)
+
+    return _finish_many((h2, c2), "lstm_cell", (x, h, c, W, b), bw)
+
+
+# ---------------------------------------------------------------------------
 # reductions and normalizations
 
 
@@ -527,9 +655,14 @@ def backward(tape, loss):
         raise DiffError("backward: loss was not produced on this tape")
     table = {id(loss): np.ones((), dtype=loss.dtype)}
     for out, inputs, bw in reversed(tape._nodes):
-        g = table.get(id(out))
-        if g is None:
-            continue
+        if isinstance(out, tuple):
+            g = tuple(table.get(id(o)) for o in out)
+            if all(gi is None for gi in g):
+                continue
+        else:
+            g = table.get(id(out))
+            if g is None:
+                continue
         gs = bw(g)
         for t, gi in zip(inputs, gs):
             if gi is None:

@@ -7,6 +7,7 @@ from eclab import diffengine as de
 from eclab.agents import (
     EOS,
     AgentError,
+    LstmCell,
     Message,
     MessageBatch,
     MissingPriorError,
@@ -102,6 +103,32 @@ def test_emit_deterministic_given_rng():
     g1 = s.emit(state, mode="greedy")
     g2 = s.emit(state, mode="greedy")
     assert [m.symbols for m in g1.messages] == [m.symbols for m in g2.messages]
+
+
+def test_emit_builds_messages_only_on_access():
+    sp = dyck_space()
+    s = small_sender(sp, max_len=4)
+    res = s.emit(s.encode(sp.meanings[:6]), mode="sample", rng=np.random.default_rng(2))
+    assert "messages" not in vars(res)
+    msgs = res.messages
+    assert res.messages is msgs
+    for b, m in enumerate(msgs):
+        n = int(res.batch.lengths[b])
+        assert m.symbols == tuple(int(t) for t in res.batch.symbols[b, :n])
+        assert m.log_prob == float(res.log_probs.data[b])
+        assert m.entropy == float(res.entropies.data[b])
+        assert m.step_log_probs == tuple(float(v) for v in res.step_log_probs[b, :n])
+        assert m.step_entropies == tuple(float(v) for v in res.step_entropies[b, :n])
+
+
+def test_lstm_cell_step_is_one_tape_node():
+    cell = LstmCell(np.random.default_rng(0), 3, 4, np.float64)
+    x = tensor(np.ones((2, 3)), dtype=np.float64)
+    h = c = tensor(np.zeros((2, 4)), dtype=np.float64)
+    with Tape() as tape:
+        h2, c2 = cell.step(x, h, c)
+        cell.step(x, h2, c2, np.array([True, False]))
+    assert len(tape) == 2
 
 
 def test_score_matches_emit_logprobs():

@@ -307,3 +307,180 @@ def test_adam_rejects_bad_grad_shape():
     p = {"w": f64(np.zeros(3))}
     with pytest.raises(ShapeError, match="w"):
         adam_step(AdamState(), p, {"w": np.zeros(4)})
+
+
+# ---------------------------------------------------------------------------
+# fused LSTM cell
+
+LSTM_NAMES = ("x", "h", "c", "W", "b")
+
+
+def lstm_inputs(rng, batch=4, n_in=3, hidden=5):
+    return {
+        "x": f64(rng.standard_normal((batch, n_in))),
+        "h": f64(rng.standard_normal((batch, hidden))),
+        "c": f64(rng.standard_normal((batch, hidden))),
+        "W": f64(0.5 * rng.standard_normal((n_in + hidden, 4 * hidden))),
+        "b": f64(0.5 * rng.standard_normal(4 * hidden)),
+    }
+
+
+def reference_lstm(x, h, c, W, b, alive=None):
+    """The same step composed from primitive ops, freezing rows with 0/1
+    float masks."""
+    nH = h.shape[1]
+    z = de.add_bias(de.matmul(de.concat([x, h]), W), b)
+    i = de.sigmoid(de.slice_last(z, 0, nH))
+    f = de.sigmoid(de.slice_last(z, nH, 2 * nH))
+    g = de.tanh(de.slice_last(z, 2 * nH, 3 * nH))
+    o = de.sigmoid(de.slice_last(z, 3 * nH, 4 * nH))
+    c2 = de.add(de.mul(f, c), de.mul(i, g))
+    h2 = de.mul(o, de.tanh(c2))
+    if alive is not None:
+        kp = f64(alive.astype(float))
+        dp = f64((~alive).astype(float))
+        h2 = de.add(de.scale_rows(h2, kp), de.scale_rows(h, dp))
+        c2 = de.add(de.scale_rows(c2, kp), de.scale_rows(c, dp))
+    return h2, c2
+
+
+def lstm_loss(h2, c2, wh, wc, use=("h2", "c2")):
+    terms = []
+    if "h2" in use:
+        terms.append(de.reduce_sum(de.mul(h2, wh)))
+    if "c2" in use:
+        terms.append(de.reduce_sum(de.mul(c2, wc)))
+    return terms[0] if len(terms) == 1 else de.add(*terms)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all_alive", "frozen_rows"])
+@pytest.mark.parametrize("wrt", LSTM_NAMES)
+def test_lstm_cell_grad_check(wrt, masked):
+    rng = np.random.default_rng([len(wrt), ord(wrt[0]), masked])
+    args = lstm_inputs(rng)
+    alive = np.array([True, False, True, False]) if masked else None
+    wh = f64(rng.standard_normal((4, 5)))
+    wc = f64(rng.standard_normal((4, 5)))
+
+    def f(t):
+        h2, c2 = de.lstm_cell(**dict(args, **{wrt: t}), alive=alive)
+        return lstm_loss(h2, c2, wh, wc)
+
+    assert grad_check(f, args[wrt]) < 1e-6
+
+
+@pytest.mark.parametrize("use", [("h2", "c2"), ("h2",), ("c2",)], ids="+".join)
+@pytest.mark.parametrize("masked", [False, True], ids=["all_alive", "frozen_rows"])
+def test_lstm_cell_agrees_with_composite_cell(masked, use):
+    rng = np.random.default_rng(29)
+    args = lstm_inputs(rng, batch=6)
+    alive = np.array([True, False, True, True, False, True]) if masked else None
+    wh = f64(rng.standard_normal((6, 5)))
+    wc = f64(rng.standard_normal((6, 5)))
+    results = []
+    for cell in (de.lstm_cell, reference_lstm):
+        with Tape() as tape:
+            h2, c2 = cell(**args, alive=alive)
+            loss = lstm_loss(h2, c2, wh, wc, use)
+        grads = backward(tape, loss)
+        results.append((h2.data, c2.data, [grads[args[n]] for n in LSTM_NAMES]))
+    (h_new, c_new, g_new), (h_ref, c_ref, g_ref) = results
+    np.testing.assert_allclose(h_new, h_ref, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(c_new, c_ref, rtol=1e-12, atol=1e-14)
+    for name, a, b in zip(LSTM_NAMES, g_new, g_ref):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "alive", [[True, False, False, True], [False] * 4], ids=["some", "all"]
+)
+def test_lstm_cell_frozen_rows_pass_through(alive):
+    rng = np.random.default_rng(31)
+    args = lstm_inputs(rng)
+    alive = np.array(alive)
+    gh = rng.standard_normal((4, 5))
+    gc = rng.standard_normal((4, 5))
+    with Tape() as tape:
+        h2, c2 = de.lstm_cell(**args, alive=alive)
+        loss = lstm_loss(h2, c2, f64(gh), f64(gc))
+    grads = backward(tape, loss)
+    np.testing.assert_array_equal(h2.data[~alive], args["h"].data[~alive])
+    np.testing.assert_array_equal(c2.data[~alive], args["c"].data[~alive])
+    np.testing.assert_array_equal(grads[args["h"]][~alive], gh[~alive])
+    np.testing.assert_array_equal(grads[args["c"]][~alive], gc[~alive])
+    np.testing.assert_array_equal(grads[args["x"]][~alive], 0.0)
+    if not alive.any():
+        np.testing.assert_array_equal(grads[args["W"]], 0.0)
+        np.testing.assert_array_equal(grads[args["b"]], 0.0)
+
+
+def test_lstm_cell_is_one_tape_node():
+    args = lstm_inputs(np.random.default_rng(37))
+    with Tape() as tape:
+        de.lstm_cell(**args)
+    assert len(tape) == 1
+    with Tape() as tape:
+        de.lstm_cell(**args, alive=np.array([True, False, True, True]))
+    assert len(tape) == 1
+
+
+@pytest.mark.parametrize("out", ["h2", "c2"])
+def test_two_output_node_backward_from_either_output(out):
+    # the loss reaches only one output; the other's cotangent reads as zero
+    args = lstm_inputs(np.random.default_rng(41))
+    with Tape() as tape:
+        h2, c2 = de.lstm_cell(**args)
+        loss = de.reduce_sum(h2 if out == "h2" else c2)
+    assert len(tape) == 2
+    grads = backward(tape, loss)
+    for name in LSTM_NAMES:
+        assert args[name] in grads
+        assert np.all(np.isfinite(grads[args[name]]))
+    # c2 = f*c + i*g, so with only c2 in the loss dL/dc is exactly f
+    if out == "c2":
+        z = np.concatenate([args["x"].data, args["h"].data], 1) @ args["W"].data
+        f = 1.0 / (1.0 + np.exp(-(z + args["b"].data)[:, 5:10]))
+        np.testing.assert_allclose(grads[args["c"]], f, rtol=1e-12)
+
+
+def test_two_output_node_is_skipped_when_neither_output_is_used():
+    args = lstm_inputs(np.random.default_rng(43))
+    with Tape() as tape:
+        de.lstm_cell(**args)
+        loss = de.reduce_sum(args["x"])
+    grads = backward(tape, loss)
+    assert args["W"] not in grads and args["h"] not in grads
+
+
+@pytest.mark.parametrize("bad,output", [("h", 0), ("c", 1)])
+def test_debug_flag_names_lstm_cell_for_either_output(bad, output):
+    # a frozen row hands back its h and c unchanged, so a non-finite h (c)
+    # there makes exactly the h2 (c2) output non-finite
+    args = lstm_inputs(np.random.default_rng(47))
+    poisoned = args[bad].data.copy()
+    poisoned[1, 2] = np.inf
+    args[bad] = f64(poisoned)
+    alive = np.array([True, False, True, True])
+    de.DEBUG_FINITE = True
+    try:
+        with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteError, match=rf"output {output} of lstm_cell"
+        ):
+            de.lstm_cell(**args, alive=alive)
+    finally:
+        de.DEBUG_FINITE = False
+    with np.errstate(all="ignore"):
+        h2, c2 = de.lstm_cell(**args, alive=alive)
+    assert np.isfinite(c2.data if bad == "h" else h2.data).all()
+
+
+def test_lstm_cell_rejects_bad_shapes():
+    args = lstm_inputs(np.random.default_rng(53))
+    with pytest.raises(ShapeError, match="lstm_cell"):
+        de.lstm_cell(**dict(args, W=f64(np.zeros((7, 20)))))
+    with pytest.raises(ShapeError, match="lstm_cell"):
+        de.lstm_cell(**dict(args, c=f64(np.zeros((4, 6)))))
+    with pytest.raises(ShapeError, match="alive"):
+        de.lstm_cell(**args, alive=np.ones(3, dtype=bool))
+    with pytest.raises(ShapeError, match="dtype"):
+        de.lstm_cell(**dict(args, b=tensor(np.zeros(20), dtype=np.float32)))
