@@ -12,9 +12,10 @@ read, giving a learned message prior.
 Everything here is batched: meanings/messages come in lists, tensors carry a
 leading batch axis, and per-item termination freezes finished rows (h, c and
 the stack stop changing once an item's EOS has been processed, which matches
-running each item on its own). The LSTM cells take the bool ``alive`` mask
-directly; the stack read and the per-step log-prob terms use constant 0/1
-masks.
+running each item on its own). The LSTM cells and ``stack_step`` take the
+bool ``alive`` mask directly: a frozen row keeps its h and c, pops and pushes
+nothing and keeps its last read, inside the fused op. Only the per-step
+log-prob terms use constant 0/1 masks.
 """
 
 from __future__ import annotations
@@ -442,7 +443,11 @@ class Sender(ParamModule):
 
 @dataclass
 class StepTrace:
-    """Receiver internals for one message position (mainly for analysis)."""
+    """Receiver internals for one message position (mainly for analysis).
+
+    ``u``, ``d`` and ``r`` are the directives the strategy produced; the stack
+    pops and pushes only on rows still running, and a finished row's ``read``
+    is its last read."""
 
     push_value: Tensor  # v_t, [B, hidden]
     read: Tensor  # r_t as returned by the stack, [B, hidden]
@@ -568,7 +573,6 @@ class Receiver(ParamModule):
             frozen_draws = self._random_directives(rng, n)
         for t in range(t_max):
             alive = t < batch.lengths
-            keep = None if alive.all() else _row_mask(alive, self.dtype)
             x = self.emb(batch.symbols[:, t])
             h, c = self.cell.step(de.concat([x, read]), h, c, alive)
             v = de.tanh(self.to_value(h))
@@ -582,19 +586,13 @@ class Receiver(ParamModule):
                 u, d, r = frozen_draws
             else:
                 u, d, r = self._random_directives(rng, n)
-            if keep is not None:
-                # finished rows stop popping and push nothing
-                u = de.mul(u, keep)
-                d = de.mul(d, keep)
-            stack, new_read = stack_step(stack, StackDirectives(v=v, u=u, d=d, r=r))
-            if keep is None:
-                read = new_read
-            else:
-                drop = _row_mask(~alive, self.dtype)
-                read = de.add(de.scale_rows(new_read, keep), de.scale_rows(read, drop))
+            # finished rows pop and push nothing and keep their last read
+            stack, read = stack_step(
+                stack, StackDirectives(v=v, u=u, d=d, r=r), alive=alive, prev_read=read
+            )
             reads.append(read)
             if want_trace:
-                trace.append(StepTrace(push_value=v, read=new_read, u=u, d=d, r=r))
+                trace.append(StepTrace(push_value=v, read=read, u=u, d=d, r=r))
         return EncodeResult(h, c, reads, stack, trace)
 
     def reconstruct_logprob(self, enc, meanings):
@@ -639,7 +637,11 @@ class Receiver(ParamModule):
         return total
 
     def greedy_decode(self, enc):
-        """Most-likely meaning per item under the reconstruction heads."""
+        """Most-likely meaning per item under the reconstruction heads.
+
+        Dyck words decode token by token until END; a row that has produced
+        END is frozen, so the decoder LSTM runs only on the rows still
+        decoding."""
         if self.space.kind == "attr_val":
             picks = [head(enc.final_h).data.argmax(axis=1) for head in self.heads]
             n = enc.final_h.shape[0]
@@ -654,7 +656,7 @@ class Receiver(ParamModule):
         for t in range(self.space.l_max):
             if t > 0:
                 x = self.dec_emb(prev)
-            h, c = self.dec_cell.step(x, h, c)
+            h, c = self.dec_cell.step(x, h, c, ~done)
             sym = self.dec_out(h).data.argmax(axis=1)
             for b in range(n):
                 if done[b]:

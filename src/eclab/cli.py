@@ -1,8 +1,9 @@
 """Command-line entry points: run, preset, sweep, report.
 
 numpy (and everything that imports it) is loaded inside ``main`` so that
-``ECLAB_DETERMINISTIC=1`` can pin the BLAS thread pools to a single thread
-before any library reads its environment.
+``ECLAB_DETERMINISTIC=1`` can pin the BLAS thread pools to a single thread,
+and ``sweep --jobs N`` can share the CPUs among its workers, before any
+library reads its environment.
 """
 
 from __future__ import annotations
@@ -25,6 +26,20 @@ def _pin_threads_if_deterministic():
     if os.environ.get("ECLAB_DETERMINISTIC") == "1":
         for var in _THREAD_VARS:
             os.environ.setdefault(var, "1")
+
+
+def _pin_threads_for_jobs(jobs):
+    """Share the CPUs among ``jobs`` sweep workers: each BLAS/OpenMP pool gets
+    ``max(1, nproc // jobs)`` threads unless the variable is already set.
+    Must run before numpy loads; the forked workers inherit the setting."""
+    if jobs > 1:
+        if hasattr(os, "sched_getaffinity"):
+            nproc = len(os.sched_getaffinity(0))
+        else:  # pragma: no cover - platforms without CPU affinity
+            nproc = os.cpu_count() or 1
+        per_job = max(1, nproc // jobs)
+        for var in _THREAD_VARS:
+            os.environ.setdefault(var, str(per_job))
 
 
 def _build_parser():
@@ -142,10 +157,12 @@ def _cmd_sweep(runner, args):
 
 
 def main(argv=None):
+    args = _build_parser().parse_args(argv)
     _pin_threads_if_deterministic()
+    if args.command == "sweep":
+        _pin_threads_for_jobs(args.jobs)
     from . import runner
 
-    args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(runner, args)

@@ -377,9 +377,13 @@ def take_rows(table, idx):
     out = table.data[idx]
 
     def bw(g):
-        buf = np.zeros(table.shape, dtype=g.dtype)
-        np.add.at(buf, idx, g)
-        return (buf,)
+        # np.add.at over one flat index per element takes numpy's fast 1-d
+        # path; rows sharing an index still add up in batch order
+        n_rows, n_col = table.shape
+        flat = np.arange(n_rows)[idx][:, None] * n_col + np.arange(n_col)
+        buf = np.zeros(table.size, dtype=g.dtype)
+        np.add.at(buf, flat.ravel(), g.ravel())
+        return (buf.reshape(table.shape),)
 
     return _finish(out, "take_rows", (table,), bw)
 

@@ -56,12 +56,14 @@ def _greedy_messages(sender, meanings):
     return sender.emit(state, mode="greedy").batch
 
 
-def comacc(sender, receiver, meanings, strategy, eval_rng=None, draws=1):
+def comacc(sender, receiver, meanings, strategy, eval_rng=None, draws=1, memo=None):
     """Exact-reconstruction rate over ``meanings`` (greedy on both sides).
 
     Deterministic given (parameters, meanings, strategy, rng state, draws);
     for non-random strategies extra draws are skipped since every draw would
-    decode identically.
+    decode identically. A dict passed as ``memo`` receives the greedy message
+    batch and, for the deterministic strategies, the receiver's reads, so
+    ``mean_log_prior`` on the same split can skip that work.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -75,16 +77,29 @@ def comacc(sender, receiver, meanings, strategy, eval_rng=None, draws=1):
         enc = receiver.encode(batch, strategy, rng=eval_rng)
         decoded = receiver.greedy_decode(enc)
         correct += sum(d == m for d, m in zip(decoded, meanings))
+    if memo is not None:
+        memo["batch"] = batch
+        if strategy is not Strategy.RANDOM_BRANCHING:
+            memo["reads"] = enc.reads
     return correct / (draws * len(meanings))
 
 
-def mean_log_prior(sender, receiver, meanings, strategy, eval_rng=None):
-    """Mean per-message log prior of the greedy messages for ``meanings``."""
+def mean_log_prior(sender, receiver, meanings, strategy, eval_rng=None, memo=None):
+    """Mean per-message log prior of the greedy messages for ``meanings``.
+
+    ``memo`` is the dict ``comacc`` filled for the same meanings and
+    parameters; what it holds is reused instead of recomputed. The random
+    strategy still encodes again, drawing its directives from ``eval_rng``.
+    """
     strategy = Strategy.parse(strategy)
-    meanings = [tuple(m) for m in meanings]
-    batch = _greedy_messages(sender, meanings)
-    enc = receiver.encode(batch, strategy, rng=eval_rng)
-    lp = receiver.message_log_prior(batch, enc.reads)
+    memo = memo or {}
+    batch = memo.get("batch")
+    if batch is None:
+        batch = _greedy_messages(sender, [tuple(m) for m in meanings])
+    reads = memo.get("reads")
+    if reads is None:
+        reads = receiver.encode(batch, strategy, rng=eval_rng).reads
+    lp = receiver.message_log_prior(batch, reads)
     return float(lp.data.mean())
 
 

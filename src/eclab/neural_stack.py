@@ -10,6 +10,15 @@ All three directives may be differentiable 0-d tensors (or, in batched use,
 length-B tensors with value matrices [B, width]); gradients flow through the
 max/min gates into whatever produced the directives. States are immutable:
 each op returns a new ``StackState`` sharing untouched entry tensors.
+
+A whole ``stack_step`` (pop, push, prune, read) is one tape record with a
+hand-written subgradient backward, computed on a [depth, B] strength matrix.
+The "strength above" sums are ``np.cumsum`` over the entries taken top
+first, which adds in the same order as a per-entry loop would. Its outputs
+are ``(read, *new_strengths)``, so the state keeps one tensor per entry.
+``stack_pop`` and ``stack_read`` run the same kernel with only their part of
+the directives. A single (unbatched) stack is the B = 1 case, reshaped at the
+boundary.
 """
 
 from __future__ import annotations
@@ -60,10 +69,6 @@ class StackState:
     def depth(self):
         return len(self.values)
 
-    def _zero_value(self):
-        shape = (self.width,) if self.batch is None else (self.batch, self.width)
-        return de.zeros(shape, dtype=self.dtype)
-
 
 def _coerce_strength(state, s, what):
     if isinstance(s, (int, float)):
@@ -79,11 +84,159 @@ def _coerce_strength(state, s, what):
     return s
 
 
-def _weighted(value, w):
-    # value [W] * w (0-d), or value [B, W] * w [B]
-    if value.ndim == 2:
-        return de.scale_rows(value, w)
-    return de.mul(value, w)
+def _gate_backward(acc, g_gates, sel):
+    """Backward of the top-down gates ``y_0 = x`` and ``y_k = max(x -
+    above_k, 0)`` (k >= 1), where ``above_k`` sums entries 0..k-1, top first.
+
+    ``g_gates`` [n, B] holds the cotangents of the ``y``s and ``sel`` [n-1, B]
+    marks where the max took ``x - above_k`` (ties included). Adds the
+    entries' share into ``acc`` [n, B] and returns ``dx`` [B]. Every sum runs
+    in the order backward through a per-entry loop adds it, so the result is
+    bit-identical to that loop's.
+    """
+    n = len(acc)
+    dgap = g_gates[1:] * sel
+    dx = g_gates[0]
+    if n > 1:
+        # the deepest gate first, the top's own term last
+        dx = np.cumsum(dgap[::-1], axis=0)[-1] + dx
+    if n > 2:
+        # above_k's cotangent gathers from the deepest gate up to gate k
+        tail = np.cumsum(-dgap[:0:-1], axis=0)[::-1]
+        acc[1:-1] += tail
+        acc[0] += tail[0]
+    if n > 1:
+        # above_1 is the top entry itself, so its gate lands on it last
+        acc[0] -= dgap[0]
+    return dx
+
+
+def _transition(state, u=None, v=None, d=None, r=None, alive=None, prev_read=None):
+    """Pop ``u``, push ``(v, d)``, prune, then read ``r``, as one tape record.
+
+    Each part runs only when its directive is given; a push is followed by
+    the prune. Returns ``(strengths, values, read)``: the new per-entry tensors
+    and the read (None without ``r``). Rows where the bool ``alive`` is False
+    pop 0, push 0 and read ``prev_read``. The strength matrix is [depth, B],
+    so every running sum is a vector add over the batch.
+    """
+    single = state.batch is None
+    B = 1 if single else state.batch
+    W, dt, n = state.width, state.dtype, state.depth
+    freeze = alive is not None and not alive.all()
+    if freeze:
+        alive = alive.reshape(B)
+        frozen = np.flatnonzero(~alive)
+    pop, push, read = u is not None and n > 0, d is not None, r is not None
+    changed = pop or push
+
+    def live(x):
+        return np.where(alive, x, 0) if freeze else x
+
+    S = np.zeros((0, B), dt)
+    if n:
+        S = np.stack([s.data.reshape(B) for s in state.strengths])
+    if pop:
+        ud = live(u.data.reshape(B))
+        top = S[::-1]
+        gap = ud - np.cumsum(top[:-1], axis=0)
+        pre = top - np.concatenate((ud[None], np.maximum(gap, 0)))
+        de._note_kink(gap, 0)
+        de._note_kink(pre, 0)
+        S = np.maximum(pre, 0)[::-1]
+    values = state.values
+    if push:
+        S = np.concatenate((S, live(d.data.reshape(B))[None]))
+        values = values + (v,)
+    n_post = len(S)
+    cols = np.arange(n_post)
+    if push:
+        cols = np.flatnonzero(S.max(axis=1) >= PRUNE_EPS)
+        if len(cols) < n_post:
+            S = S[cols]
+            values = tuple(values[i] for i in cols)
+
+    outs, inputs = [], []
+    if read:
+        # entries top first: xts, xs, ktop and w line up entry by entry
+        xts = values[::-1]
+        xs = [x.data.reshape(B, W) for x in xts]
+        rd = r.data.reshape(B)
+        ktop = S[::-1]
+        gap2 = rd - np.cumsum(ktop[:-1], axis=0)
+        avail = np.concatenate((rd[None], np.maximum(gap2, 0)))
+        w = np.minimum(ktop, avail)
+        de._note_kink(gap2, 0)
+        de._note_kink(ktop, avail)
+        total = xs[0] * w[0][:, None] if xs else np.zeros((B, W), dt)
+        for k in range(1, len(xs)):
+            total += xs[k] * w[k][:, None]
+        if freeze:
+            total[frozen] = prev_read.data.reshape(B, W)[frozen]
+        outs.append(total.reshape(W) if single else total)
+        inputs += [r, *xts] + ([prev_read] if freeze else [])
+    if changed:
+        outs += [s.reshape(()) if single else s for s in S]
+    if pop or read:
+        inputs += state.strengths
+    if pop:
+        inputs.append(u)
+    if push:
+        inputs.append(d)
+
+    def bw(gs):
+        g_read, g_strengths = (gs[0], gs[1:]) if read else (None, gs)
+        G = np.zeros((n_post, B), dt)  # cotangents of the pushed-to entries
+        for j, g in enumerate(g_strengths):
+            if g is not None:
+                G[cols[j]] = g.reshape(B)
+        grads = []
+        if read:
+            if g_read is None:
+                grads += [None] * (1 + len(xs) + freeze)
+            else:
+                gr = g_read.reshape(B, W)
+                if freeze:
+                    # a frozen row's cotangent goes to prev_read, none to the stack
+                    g_prev = np.zeros_like(gr)
+                    g_prev[frozen] = gr[frozen]
+                    gr = gr.copy()
+                    gr[frozen] = 0
+                if xs:
+                    dw = np.stack([(gr * x).sum(axis=1) for x in xs])
+                    sel = ktop <= avail
+                    acc = G[cols][::-1]
+                    dr = _gate_backward(acc, dw * ~sel, gap2 >= 0)
+                    acc += dw * sel
+                    G[cols] = acc[::-1]
+                    grads.append(dr.reshape(r.shape))
+                    grads += [(gr * w[k][:, None]).reshape(x.shape) for k, x in enumerate(xts)]
+                else:
+                    grads.append(None)
+                if freeze:
+                    grads.append(g_prev.reshape(prev_read.shape))
+        if pop:
+            t = G[:n][::-1] * (pre >= 0)
+            acc = np.zeros_like(t)
+            du = _gate_backward(acc, -t, gap >= 0)
+            acc += t
+            dS = acc[::-1]
+        else:
+            dS = G[:n]
+        if pop or read:
+            grads += [dS[j].reshape(s.shape) for j, s in enumerate(state.strengths)]
+        if pop:
+            grads.append(live(du).reshape(u.shape))
+        if push:
+            grads.append(live(G[-1]).reshape(d.shape))
+        return grads
+
+    if not outs:
+        return state.strengths, values, None
+    res = de._finish_many(outs, "stack_step", tuple(inputs), bw)
+    read_out = res[0] if read else None
+    strengths = res[read:] if changed else state.strengths
+    return strengths, values, read_out
 
 
 def stack_pop(state, u):
@@ -93,16 +246,8 @@ def stack_pop(state, u):
     ``sum_above`` is the original strength above it.
     """
     u = _coerce_strength(state, u, "pop")
-    if state.depth == 0:
-        return state
-    above = None
-    new_strengths = [None] * state.depth
-    for i in range(state.depth - 1, -1, -1):
-        s_i = state.strengths[i]
-        deficit = u if above is None else de.maximum(de.sub(u, above), 0.0)
-        new_strengths[i] = de.maximum(de.sub(s_i, deficit), 0.0)
-        above = s_i if above is None else de.add(above, s_i)
-    return replace(state, strengths=tuple(new_strengths))
+    strengths, _, _ = _transition(state, u=u)
+    return replace(state, strengths=strengths)
 
 
 def stack_push(state, v, d):
@@ -124,49 +269,34 @@ def stack_read(state, r):
     toward zero for an empty stack).
     """
     r = _coerce_strength(state, r, "read")
-    total = None
-    above = None
-    for i in range(state.depth - 1, -1, -1):
-        s_i = state.strengths[i]
-        avail = r if above is None else de.maximum(de.sub(r, above), 0.0)
-        w_i = de.minimum(s_i, avail)
-        part = _weighted(state.values[i], w_i)
-        total = part if total is None else de.add(total, part)
-        above = s_i if above is None else de.add(above, s_i)
-    if total is None:
-        return state._zero_value()
-    return total
+    return _transition(state, r=r)[2]
 
 
-def stack_step(state, directives):
+def stack_step(state, directives, alive=None, prev_read=None):
     """One full transition: pop ``u``, push ``(v, d)``, read ``r``.
 
-    Returns ``(new_state, read_vector)``. Entries whose strength fell below
-    1e-9 everywhere in the batch are pruned so depth stays bounded by the
-    number of surviving pushes.
+    Returns ``(new_state, read_vector)``; the whole step is one tape record.
+    Entries whose strength fell below 1e-9 everywhere in the batch are pruned
+    so depth stays bounded by the number of surviving pushes. ``alive`` is an
+    optional bool mask over the batch: rows where it is False (their item has
+    finished) pop and push nothing and return ``prev_read`` as their read.
     """
     if not isinstance(directives, StackDirectives):
         raise StackError(f"expected StackDirectives, got {type(directives).__name__}")
-    popped = stack_pop(state, directives.u)
-    pushed = stack_push(popped, directives.v, directives.d)
-    pushed = _prune(pushed)
-    read = stack_read(pushed, directives.r)
-    return pushed, read
-
-
-def _prune(state):
-    keep = [
-        i
-        for i, s in enumerate(state.strengths)
-        if float(np.max(s.data)) >= PRUNE_EPS
-    ]
-    if len(keep) == state.depth:
-        return state
-    return replace(
-        state,
-        values=tuple(state.values[i] for i in keep),
-        strengths=tuple(state.strengths[i] for i in keep),
-    )
+    u = _coerce_strength(state, directives.u, "pop")
+    d = _coerce_strength(state, directives.d, "push")
+    r = _coerce_strength(state, directives.r, "read")
+    want = (state.width,) if state.batch is None else (state.batch, state.width)
+    if directives.v.shape != want:
+        raise StackError(f"push value shape {directives.v.shape}, expected {want}")
+    if alive is not None:
+        alive = np.asarray(alive, dtype=bool)
+        if alive.shape != want[:-1]:
+            raise StackError(f"alive mask shape {alive.shape}, expected {want[:-1]}")
+        if not alive.all() and (prev_read is None or prev_read.shape != want):
+            raise StackError(f"frozen rows need a prev_read of shape {want}")
+    strengths, values, read = _transition(state, u, directives.v, d, r, alive, prev_read)
+    return replace(state, values=values, strengths=strengths), read
 
 
 def total_strength(state):

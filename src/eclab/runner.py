@@ -273,21 +273,26 @@ def run(config, out_dir=None):
 
     def evaluate(iteration):
         eval_rng = stream_generator(config.seed, f"eval/{iteration}")
+        # ComAcc leaves each split's greedy messages (and, for the
+        # deterministic strategies, its reads) for the log prior to reuse
+        memo_train, memo_test = {}, {}
         rec = MetricsRecord(
             iteration=iteration,
             comacc_train=comacc(
-                sender, receiver, train, strategy, eval_rng, draws=config.eval_draws
+                sender, receiver, train, strategy, eval_rng,
+                draws=config.eval_draws, memo=memo_train if use_prior else None,
             ),
             comacc_test=comacc(
-                sender, receiver, test, strategy, eval_rng, draws=config.eval_draws
+                sender, receiver, test, strategy, eval_rng,
+                draws=config.eval_draws, memo=memo_test if use_prior else None,
             ),
             mean_log_prior_train=(
-                mean_log_prior(sender, receiver, train, strategy, eval_rng)
+                mean_log_prior(sender, receiver, train, strategy, eval_rng, memo=memo_train)
                 if use_prior
                 else math.nan
             ),
             mean_log_prior_test=(
-                mean_log_prior(sender, receiver, test, strategy, eval_rng)
+                mean_log_prior(sender, receiver, test, strategy, eval_rng, memo=memo_test)
                 if use_prior
                 else math.nan
             ),

@@ -341,6 +341,48 @@ def test_greedy_decode_picks_argmax_meaning():
     assert r.greedy_decode(enc)[:1] == [best]
 
 
+def unmasked_greedy_decode(r, enc):
+    """The decode loop with every row kept running until all are done."""
+    end = 2 * r.space.k
+    n = enc.final_h.shape[0]
+    h, c = enc.final_h, enc.final_c
+    x = de.zeros((n, r.embedding), dtype=r.dtype)
+    done = np.zeros(n, dtype=bool)
+    words = [[] for _ in range(n)]
+    for t in range(r.space.l_max):
+        if t > 0:
+            x = r.dec_emb(prev)
+        h, c = r.dec_cell.step(x, h, c)
+        sym = r.dec_out(h).data.argmax(axis=1)
+        for b in range(n):
+            if not done[b]:
+                if sym[b] == end:
+                    done[b] = True
+                else:
+                    words[b].append(int(sym[b]))
+        if done.all():
+            break
+        prev = np.where(done, end, sym)
+    return [tuple(w) for w in words]
+
+
+def test_greedy_decode_skipping_finished_rows_decodes_the_same():
+    dy = enumerate_dyck(2, 8)
+    lengths = set()
+    for seed in range(6):
+        rd = small_receiver(dy, seed=seed)
+        # larger weights spread the decoded lengths
+        rd.set_parameters(
+            {k: de.Tensor._wrap(t.data * 3.0) for k, t in rd.named_parameters().items()}
+        )
+        msgs = list(itertools.product((1, 2), repeat=2))
+        enc = rd.encode(msgs_batch([m + (0,) for m in msgs]), "learned")
+        got = rd.greedy_decode(enc)
+        assert got == unmasked_greedy_decode(rd, enc)
+        lengths.update(len(w) for w in got)
+    assert len(lengths) >= 2  # some rows finished while others ran on
+
+
 def test_prior_is_a_distribution_over_messages():
     sp = attr_space()
     r = small_receiver(sp, with_prior=True, max_len=2)

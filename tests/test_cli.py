@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -119,3 +120,37 @@ def test_module_entry_point_deterministic_rerun(tmp_path, deterministic_env):
     a = (tmp_path / "a" / "metrics.csv").read_bytes()
     b = (tmp_path / "b" / "metrics.csv").read_bytes()
     assert a == b
+
+
+@pytest.fixture
+def thread_env(monkeypatch):
+    """No thread variable set, and 8 CPUs to share."""
+    from eclab import cli
+
+    for var in cli._THREAD_VARS + ("ECLAB_DETERMINISTIC",):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    return cli
+
+
+@pytest.mark.parametrize("jobs, want", [(1, None), (3, "2"), (8, "1"), (16, "1")])
+def test_sweep_jobs_pin_threads_per_worker(thread_env, monkeypatch, jobs, want):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "5")  # set by the user: kept
+    thread_env._pin_threads_for_jobs(jobs)
+    for var in thread_env._THREAD_VARS:
+        expected = "5" if var == "OPENBLAS_NUM_THREADS" else want
+        assert os.environ.get(var) == expected, var
+
+
+def test_sweep_command_pins_threads_before_running(thread_env, monkeypatch, capsys):
+    from eclab import runner
+
+    seen = {}
+
+    def fake_sweep(*args, **kwargs):
+        seen.update({var: os.environ.get(var) for var in thread_env._THREAD_VARS})
+        return []
+
+    monkeypatch.setattr(runner, "sweep", fake_sweep)
+    assert main(["sweep", "--preset", "smoke-attrval", "--jobs", "4"]) == 0
+    assert seen == {var: "2" for var in thread_env._THREAD_VARS}

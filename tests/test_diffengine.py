@@ -143,6 +143,20 @@ def test_take_rows_accumulates_duplicate_indices():
     np.testing.assert_array_equal(g, [[0, 0], [2, 2], [1, 1]])
 
 
+def test_take_rows_gradient_adds_rows_in_batch_order():
+    # the same accumulation as np.add.at over rows, negative indices included
+    rng = np.random.default_rng(5)
+    table = tensor(rng.normal(size=(4, 3)), dtype=np.float32)
+    idx = np.array([3, 0, -1, 3, 1, 0, 3, -4])
+    g = rng.normal(size=(len(idx), 3)).astype(np.float32)
+    with Tape() as tape:
+        out = de.take_rows(table, idx)
+        loss = de.reduce_sum(de.mul(out, tensor(g, dtype=np.float32)))
+    want = np.zeros((4, 3), dtype=np.float32)
+    np.add.at(want, idx, g)
+    np.testing.assert_array_equal(backward(tape, loss)[table], want)
+
+
 def test_grad_check_rejects_nothing_smooth():
     rng = np.random.default_rng(3)
     w = rng.standard_normal(5)

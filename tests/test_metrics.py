@@ -155,3 +155,49 @@ def test_metrics_csv_nan_roundtrip(tmp_path):
     back = read_metrics(path)
     assert math.isnan(back[0].mean_log_prior_train)
     assert back[0].recon_loss == 1.25
+
+
+def split_halves(space):
+    return space.meanings[::2], space.meanings[1::2]
+
+
+@pytest.mark.parametrize("strategy", ["learned", "left", "random"])
+def test_memoised_evaluation_matches_fresh_calls(strategy):
+    space, sender, receiver = real_agents(strategy_needs_prior=True)
+    train, test = split_halves(space)
+
+    def evaluate(memos):
+        rng = np.random.default_rng(17)
+        m_train, m_test = memos
+        values = (
+            comacc(sender, receiver, train, strategy, rng, draws=2, memo=m_train),
+            comacc(sender, receiver, test, strategy, rng, draws=2, memo=m_test),
+            mean_log_prior(sender, receiver, train, strategy, rng, memo=m_train),
+            mean_log_prior(sender, receiver, test, strategy, rng, memo=m_test),
+        )
+        return values, rng.bit_generator.state
+
+    fresh = evaluate((None, None))
+    memo = evaluate(({}, {}))
+    assert memo[0] == fresh[0]
+    assert memo[1] == fresh[1]  # the random draws are taken in the same order
+
+
+def test_memo_encodes_each_split_once_for_learned():
+    space, sender, receiver = real_agents(strategy_needs_prior=True)
+    train, test = split_halves(space)
+    calls = []
+    encode = receiver.encode
+
+    def counting_encode(batch, *args, **kwargs):
+        calls.append(len(batch))
+        return encode(batch, *args, **kwargs)
+
+    receiver.encode = counting_encode
+    m_train, m_test = {}, {}
+    comacc(sender, receiver, train, "learned", memo=m_train)
+    comacc(sender, receiver, test, "learned", memo=m_test)
+    mean_log_prior(sender, receiver, train, "learned", memo=m_train)
+    mean_log_prior(sender, receiver, test, "learned", memo=m_test)
+    assert calls == [len(train), len(test)]
+    assert set(m_train) == {"batch", "reads"}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eclab import diffengine as de
-from eclab.diffengine import Tape, Tensor, backward, grad_check, kink_margin, tensor
+from eclab.diffengine import PRUNE_EPS, Tape, Tensor, backward, grad_check, kink_margin, tensor
 from eclab.neural_stack import (
     StackDirectives,
     StackError,
@@ -202,3 +202,268 @@ def test_batched_gradients_flow():
     u0 = f64(rng.uniform(0.1, 0.8, size=batch))
     assert kink_margin(f, u0) > 1e-3
     assert grad_check(f, u0) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the fused step against the per-entry composite it replaced
+
+
+def _weighted(value, w):
+    return de.scale_rows(value, w) if value.ndim == 2 else de.mul(value, w)
+
+
+def ref_step(strengths, values, v, u, d, r, alive=None, prev_read=None):
+    """pop -> push -> prune -> read as the per-entry loop of maximum/minimum/
+    sub/add/scale_rows records, with the row freeze done outside the stack."""
+    keep = None
+    if alive is not None and not alive.all():
+        keep = Tensor._wrap(alive.astype(np.float64))
+        u, d = de.mul(u, keep), de.mul(d, keep)
+    popped, above = [None] * len(strengths), None
+    for i in range(len(strengths) - 1, -1, -1):
+        s = strengths[i]
+        deficit = u if above is None else de.maximum(de.sub(u, above), 0.0)
+        popped[i] = de.maximum(de.sub(s, deficit), 0.0)
+        above = s if above is None else de.add(above, s)
+    kept = [
+        i for i, s in enumerate(popped + [d]) if float(np.max(s.data)) >= PRUNE_EPS
+    ]
+    strengths = [(popped + [d])[i] for i in kept]
+    values = [(list(values) + [v])[i] for i in kept]
+    read, above = None, None
+    for i in range(len(strengths) - 1, -1, -1):
+        s = strengths[i]
+        avail = r if above is None else de.maximum(de.sub(r, above), 0.0)
+        part = _weighted(values[i], de.minimum(s, avail))
+        read = part if read is None else de.add(read, part)
+        above = s if above is None else de.add(above, s)
+    if read is None:
+        read = de.zeros(v.shape, dtype=v.dtype)
+    if keep is not None:
+        drop = Tensor._wrap((~alive).astype(np.float64))
+        read = de.add(de.scale_rows(read, keep), de.scale_rows(prev_read, drop))
+    return strengths, values, read
+
+
+def fused_step(strengths, values, v, u, d, r, alive=None, prev_read=None):
+    batch = None if v.ndim == 1 else v.shape[0]
+    st = StackState(tuple(values), tuple(strengths), v.shape[-1], batch, np.float64)
+    st, read = stack_step(st, StackDirectives(v=v, u=u, d=d, r=r), alive, prev_read)
+    return list(st.strengths), list(st.values), read
+
+
+def make_leaves(rng, batch, width=3, depth=3, steps=4, dust=False, ties=False):
+    """Prior entries plus per-step directives; ``batch`` None is one stack.
+    ``ties`` draws every strength and directive from {0, 1}, the discrete
+    limit, where the max/min gates sit exactly on their ties."""
+    lead = () if batch is None else (batch,)
+    leaves = {"read0": rng.normal(size=lead + (width,))}
+    for i in range(depth):
+        leaves[f"s{i}"] = rng.uniform(0.2, 1.4, size=lead)
+        leaves[f"x{i}"] = rng.normal(size=lead + (width,))
+    if dust:
+        leaves["s1"] = np.full(lead, 1e-12)
+    for t in range(steps):
+        leaves[f"v{t}"] = rng.normal(size=lead + (width,))
+        for name in "udr":
+            leaves[f"{name}{t}"] = rng.uniform(0.05, 1.9, size=lead)
+    if ties:
+        for k in leaves:
+            if k[0] in "sud" and k[1:].isdigit():
+                leaves[k] = rng.integers(0, 2, size=lead).astype(float)
+            elif k[0] == "r" and k[1:].isdigit():
+                leaves[k] = np.ones(lead)
+    return {k: f64(a) for k, a in leaves.items()}
+
+
+def stack_program(step, leaves, alive_steps=None):
+    """Run the steps; the loss touches every read and the final strengths."""
+    depth = sum(1 for k in leaves if k.startswith("s"))
+    steps = sum(1 for k in leaves if k.startswith("v"))
+    strengths = [leaves[f"s{i}"] for i in range(depth)]
+    values = [leaves[f"x{i}"] for i in range(depth)]
+    read = leaves["read0"]
+    c = f64(np.linspace(-1.0, 1.3, read.shape[-1]))
+    loss = None
+    for t in range(steps):
+        alive = None if alive_steps is None else alive_steps[t]
+        strengths, values, read = step(
+            strengths, values,
+            *(leaves[f"{n}{t}"] for n in "vudr"),
+            alive=alive, prev_read=read,
+        )
+        term = de.reduce_sum(_weighted(read, c) if read.ndim == 1 else de.matmul(read, c))
+        loss = term if loss is None else de.add(loss, term)
+    for k, s in enumerate(strengths):
+        loss = de.add(loss, de.mul(de.reduce_sum(s), 0.3 + 0.1 * k))
+    return loss, strengths, read
+
+
+# per-step alive masks of three rows that finish after 3, 1 and 2 steps
+FROZEN = [np.array(m, dtype=bool) for m in ([1, 1, 1], [1, 0, 1], [1, 0, 0], [0, 0, 0])]
+
+
+@pytest.mark.parametrize(
+    "batch, alive_steps, kind",
+    [
+        (None, None, ""),
+        (1, None, ""),
+        (3, None, ""),
+        (3, FROZEN, ""),
+        (3, FROZEN, "dust"),
+        (None, None, "ties"),
+        (5, FROZEN, "ties"),
+    ],
+)
+def test_fused_step_matches_composite(batch, alive_steps, kind):
+    if alive_steps is not None and batch != len(alive_steps[0]):
+        alive_steps = [np.resize(m, batch) for m in alive_steps]
+    leaves = make_leaves(
+        np.random.default_rng(41), batch, dust=kind == "dust", ties=kind == "ties"
+    )
+    got, want = {}, {}
+    for step, out in ((fused_step, got), (ref_step, want)):
+        with Tape() as tape:
+            loss, strengths, read = stack_program(step, leaves, alive_steps)
+        grads = backward(tape, loss)
+        out["loss"] = loss.data
+        out["read"] = read.data
+        out["strengths"] = [s.data for s in strengths]
+        out["grads"] = {k: grads[t] for k, t in leaves.items()}
+    # the forward is exactly equal, the gradients agree to float64 round-off
+    assert np.array_equal(got["loss"], want["loss"])
+    assert np.array_equal(got["read"], want["read"])
+    assert len(got["strengths"]) == len(want["strengths"])
+    for a, b in zip(got["strengths"], want["strengths"]):
+        assert np.array_equal(a, b)
+    for k in leaves:
+        np.testing.assert_allclose(got["grads"][k], want["grads"][k], rtol=1e-12, atol=1e-14)
+
+
+def margin_off_exact_ties(monkeypatch, f, x):
+    """``kink_margin`` over the ties that are not exact. With random operands
+    an exact tie is structural -- a fully popped entry that is not popped
+    further, or a frozen row popping 0 under zero-strength pushes -- and no
+    small perturbation moves it off the kink."""
+    note = de._note_kink
+
+    def note_inexact(a, b):
+        diff = np.abs(np.asarray(a) - b)
+        note(diff[diff > 0], 0.0)
+
+    with monkeypatch.context() as m:
+        m.setattr(de, "_note_kink", note_inexact)
+        return kink_margin(f, x)
+
+
+@pytest.mark.parametrize(
+    "batch, alive_steps", [(None, None), (1, None), (3, None), (3, FROZEN)]
+)
+def test_fused_step_grad_check(monkeypatch, batch, alive_steps):
+    rng = np.random.default_rng(43)
+    checked = 0
+    for _ in range(40):
+        leaves = make_leaves(rng, batch)
+
+        def f_u0(x):
+            return stack_program(fused_step, {**leaves, "u0": x}, alive_steps)[0]
+
+        if margin_off_exact_ties(monkeypatch, f_u0, leaves["u0"]) < 1e-4:
+            continue
+        for name in ("u0", "u2", "d1", "r2", "v0", "v3", "s0", "s2", "x1", "read0"):
+
+            def f(x, name=name):
+                return stack_program(fused_step, {**leaves, name: x}, alive_steps)[0]
+
+            assert grad_check(f, leaves[name]) < 1e-6, name
+        checked += 1
+        if checked == 2:
+            break
+    assert checked == 2
+
+
+def test_fused_step_frozen_rows_pass_through():
+    leaves = make_leaves(np.random.default_rng(47), 3, steps=2)
+    alive = np.array([True, False, True])
+    st = StackState(
+        tuple(leaves[f"x{i}"] for i in range(3)),
+        tuple(leaves[f"s{i}"] for i in range(3)),
+        3, 3, np.float64,
+    )
+    with Tape() as tape:
+        out, read = stack_step(
+            st,
+            StackDirectives(v=leaves["v0"], u=leaves["u0"], d=leaves["d0"], r=leaves["r0"]),
+            alive=alive,
+            prev_read=leaves["read0"],
+        )
+        loss = de.reduce_sum(read)
+    # the frozen row keeps its read and strengths and pushed nothing
+    np.testing.assert_array_equal(read.data[1], leaves["read0"].data[1])
+    for s_old, s_new in zip(st.strengths, out.strengths):
+        assert s_new.data[1] == s_old.data[1]
+    assert out.strengths[-1].data[1] == 0.0
+    grads = backward(tape, loss)
+    np.testing.assert_array_equal(grads[leaves["read0"]], [[0.0] * 3, [1.0] * 3, [0.0] * 3])
+    for name in ("u0", "d0", "r0"):
+        assert grads[leaves[name]][1] == 0.0
+    assert np.all(grads[leaves["v0"]][1] == 0.0)
+
+
+def test_fused_step_prunes_dust_across_the_batch():
+    st = StackState.empty(2, batch=2, dtype=np.float64)
+    st = stack_push(st, f64([[1.0, 0.0], [0.0, 1.0]]), f64([1e-12, 0.0]))
+    st = stack_push(st, f64([[2.0, 0.0], [0.0, 2.0]]), f64([0.0, 0.5]))
+    d = StackDirectives(v=f64([[3.0, 3.0], [4.0, 4.0]]), u=f64([0.0, 0.0]), d=f64([1.0, 0.0]), r=f64([2.0, 2.0]))
+    out, read = stack_step(st, d)
+    # the dust entry is gone; an entry alive in any row survives
+    assert out.depth == 2
+    assert [s.data.tolist() for s in out.strengths] == [[0.0, 0.5], [1.0, 0.0]]
+    np.testing.assert_allclose(read.data, [[3.0, 3.0], [0.0, 1.0]])
+
+
+def test_fused_step_is_one_tape_record():
+    leaves = make_leaves(np.random.default_rng(53), 4, steps=1)
+    st = StackState(
+        tuple(leaves[f"x{i}"] for i in range(3)),
+        tuple(leaves[f"s{i}"] for i in range(3)),
+        3, 4, np.float64,
+    )
+    d = StackDirectives(v=leaves["v0"], u=leaves["u0"], d=leaves["d0"], r=leaves["r0"])
+    with Tape() as tape:
+        stack_step(st, d)
+    assert len(tape) == 1
+    with Tape() as tape:
+        stack_step(st, d, alive=np.array([True, False, True, True]), prev_read=leaves["read0"])
+    assert len(tape) == 1
+    with Tape() as tape:
+        stack_pop(st, leaves["u0"])
+        stack_read(st, leaves["r0"])
+    assert len(tape) == 2
+
+
+def test_kink_margin_sees_the_fused_step():
+    rng = np.random.default_rng(59)
+    for batch, alive_steps in ((3, None), (3, FROZEN), (None, None)):
+        for _ in range(5):
+            leaves = make_leaves(rng, batch)
+            margins = [
+                kink_margin(lambda x: stack_program(step, {**leaves, "u0": x}, alive_steps)[0], leaves["u0"])
+                for step in (fused_step, ref_step)
+            ]
+            assert margins[0] == margins[1] < float("inf")
+    # a pop that exactly empties the top entry sits on a kink
+    st = build([([1.0, 0.0], 0.5)])
+    assert kink_margin(lambda u: stack_pop(st, u).strengths[0], f64(0.5)) == 0.0
+
+
+def test_alive_mask_errors():
+    st = StackState.empty(2, batch=2, dtype=np.float64)
+    d = StackDirectives(v=f64(np.ones((2, 2))), u=f64([0.5, 0.5]), d=f64([1.0, 1.0]), r=f64([1.0, 1.0]))
+    with pytest.raises(StackError, match="alive mask shape"):
+        stack_step(st, d, alive=np.array([True, False, True]))
+    with pytest.raises(StackError, match="prev_read"):
+        stack_step(st, d, alive=np.array([True, False]))
+    # an all-alive mask needs no previous read
+    _, read = stack_step(st, d, alive=np.array([True, True]))
+    np.testing.assert_allclose(read.data, np.ones((2, 2)))
