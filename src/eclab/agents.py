@@ -14,8 +14,13 @@ leading batch axis, and per-item termination freezes finished rows (h, c and
 the stack stop changing once an item's EOS has been processed, which matches
 running each item on its own). The LSTM cells and ``stack_step`` take the
 bool ``alive`` mask directly: a frozen row keeps its h and c, pops and pushes
-nothing and keeps its last read, inside the fused op. Only the per-step
-log-prob terms use constant 0/1 masks.
+nothing and keeps its last read, inside the fused op.
+
+One decoding loop, ``_unroll``, serves the sender's emission and scoring and
+the Dyck receiver's teacher-forced log-likelihood and greedy decoding; one
+masked step-sum, ``_masked_sum``, adds up per-step terms (the only place that
+uses constant 0/1 row masks). Meanings enter as tuples and are turned into
+int rows by ``MeaningSpace.rows``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import numpy as np
 
 from . import diffengine as de
 from .diffengine import Tensor
-from .meanings import encode_meaning
 from .neural_stack import StackDirectives, StackState, stack_step
 
 EOS = 0
@@ -184,6 +188,50 @@ def _row_mask(alive, dtype):
     return Tensor._wrap(alive.astype(dtype))
 
 
+def _masked_sum(terms, alive):
+    """Sum over steps of the [B] ``terms``, where step t counts only on the
+    rows ``alive[:, t]`` marks as running. Terms are added in step order."""
+    total = None
+    for t, term in enumerate(terms):
+        if not alive[:, t].all():
+            term = de.mul(term, _row_mask(alive[:, t], term.dtype))
+        total = term if total is None else de.add(total, term)
+    return total
+
+
+def _unroll(cell, emb, out, state, steps, stop, next_symbol):
+    """The decoding loop of the sender and of the Dyck decoder.
+
+    Step t feeds the previous symbol (zeros at t = 0) to ``cell``, projects
+    ``h`` with ``out`` and picks with ``next_symbol(t, logits, logp) -> [B]
+    ints``. A row that picked ``stop`` is frozen and repeats ``stop``; the
+    loop ends after ``steps`` steps or once every row has stopped. Returns
+    int symbols [B, T], the bool [B, T] mask of rows still running at each
+    step (their ``stop`` step included), and the per-step [B, V] logits and
+    log-probs.
+    """
+    h, c = state
+    n = h.shape[0]
+    alive = np.ones(n, dtype=bool)
+    x = de.zeros((n, emb.table.shape[1]), dtype=h.dtype)
+    symbols, alives, logits, logps = [], [], [], []
+    for t in range(steps):
+        if t > 0:
+            x = emb(symbols[-1])
+        h, c = cell.step(x, h, c, alive)
+        z = out(h)
+        logp = de.log_softmax(z)
+        sym = np.where(alive, next_symbol(t, z.data, logp.data), stop)
+        symbols.append(sym)
+        alives.append(alive)
+        logits.append(z)
+        logps.append(logp)
+        alive = alive & (sym != stop)
+        if not alive.any():
+            break
+    return np.stack(symbols, axis=1), np.stack(alives, axis=1), logits, logps
+
+
 def _sample_rows(p, rng):
     # invert the row CDFs; clip guards the float32 "probabilities sum to
     # 0.999999" edge
@@ -295,7 +343,11 @@ class OneHotEncoder(ParamModule):
         self.lin = Linear(rng, space.n_att * space.n_val, 2 * hidden, dtype)
 
     def __call__(self, meanings):
-        rows = np.stack([encode_meaning(m, self.space, self.dtype) for m in meanings])
+        # the one-hot rows of ``encode_meaning``, set by one scatter
+        values, _ = self.space.rows(meanings)
+        n_att, n_val = self.space.n_att, self.space.n_val
+        rows = np.zeros((len(values), n_att * n_val), dtype=self.dtype)
+        rows[np.arange(len(values))[:, None], np.arange(n_att) * n_val + values] = 1.0
         hc = self.lin(Tensor._wrap(rows))
         return (
             de.slice_last(hc, 0, self.hidden),
@@ -318,17 +370,13 @@ class TokenSeqEncoder(ParamModule):
         self.c0 = de.zeros(hidden, dtype=dtype)
 
     def __call__(self, meanings):
-        toks = [encode_meaning(m, self.space) for m in meanings]
-        n = len(toks)
-        lengths = np.array([len(t) for t in toks])
+        # finished rows are frozen; they gather the padding token 0
+        tokens, lengths = self.space.rows(meanings)
+        n = len(lengths)
         h = _tile_rows(self.h0, n)
         c = _tile_rows(self.c0, n)
-        t_max = int(lengths.max()) if n else 0
-        padded = np.zeros((n, t_max), dtype=np.int64)
-        for b, t in enumerate(toks):
-            padded[b, : len(t)] = t
-        for t in range(t_max):
-            x = self.emb(padded[:, t])
+        for t in range(int(lengths.max()) if n else 0):
+            x = self.emb(tokens[:, t])
             h, c = self.cell.step(x, h, c, t < lengths)
         return h, c
 
@@ -369,59 +417,32 @@ class Sender(ParamModule):
         """Initial LSTM state (h, c), each [B, hidden]."""
         return self.encoder(meanings)
 
-    def _unroll(self, state, n, next_symbol):
-        """Shared emission loop. ``next_symbol(t, logp_data) -> [B] ints``
-        chooses each step's symbol; scoring passes the recorded symbols back
-        through the same op sequence so log-probs match sampling exactly."""
-        h, c = state
-        alive = np.ones(n, dtype=bool)
-        log_prob = None
-        entropy = None
-        sym_steps, alive_steps, step_logps, step_ents = [], [], [], []
-        x = de.zeros((n, self.embedding), dtype=self.dtype)
-        for t in range(self.max_len):
-            if t > 0:
-                x = self.emb(sym_steps[-1])
-            keep = None if alive.all() else _row_mask(alive, self.dtype)
-            h, c = self.cell.step(x, h, c, alive)
-            logits = self.out(h)
-            logp = de.log_softmax(logits)
-            sym = np.where(alive, next_symbol(t, logp.data), EOS)
-            picked = de.take_last(logp, sym)
-            probs = de.softmax(logits)
-            ent = de.mul(de.sum_last(de.mul(probs, logp)), -1.0)
-            step_logps.append(picked.data)
-            step_ents.append(ent.data)
-            if keep is not None:
-                picked = de.mul(picked, keep)
-                ent = de.mul(ent, keep)
-            log_prob = picked if log_prob is None else de.add(log_prob, picked)
-            entropy = ent if entropy is None else de.add(entropy, ent)
-            sym_steps.append(sym)
-            alive_steps.append(alive)
-            alive = alive & (sym != EOS)
-            if not alive.any():
-                break
-        symbols = np.stack(sym_steps, axis=1)
-        alive_mat = np.stack(alive_steps, axis=1)
-        detail = (np.stack(step_logps, axis=1), np.stack(step_ents, axis=1))
-        return symbols, alive_mat, log_prob, entropy, detail
+    def _unroll(self, state, next_symbol):
+        return _unroll(self.cell, self.emb, self.out, state, self.max_len, EOS, next_symbol)
 
     def emit(self, state, mode="sample", rng=None):
         """Roll the policy out. ``mode`` is "sample" (needs ``rng``) or
         "greedy"; either way emission stops at EOS or ``max_len``."""
-        n = state[0].shape[0]
         if mode == "sample":
             if rng is None:
                 raise AgentError("sampling emission needs an rng")
-            pick = lambda t, logp: _sample_rows(np.exp(logp), rng)
+            pick = lambda t, z, logp: _sample_rows(np.exp(logp), rng)
         elif mode == "greedy":
-            pick = lambda t, logp: logp.argmax(axis=1)
+            pick = lambda t, z, logp: logp.argmax(axis=1)
         else:
             raise AgentError(f"unknown emission mode {mode!r}")
-        symbols, alive, log_prob, entropy, detail = self._unroll(state, n, pick)
-        batch = MessageBatch(symbols, alive.sum(axis=1))
-        return EmitResult(batch, log_prob, entropy, *detail)
+        symbols, alive, logits, logps = self._unroll(state, pick)
+        picked, ents = [], []
+        for t, (z, logp) in enumerate(zip(logits, logps)):
+            picked.append(de.take_last(logp, symbols[:, t]))
+            ents.append(de.mul(de.sum_last(de.mul(de.softmax(z), logp)), -1.0))
+        return EmitResult(
+            MessageBatch(symbols, alive.sum(axis=1)),
+            _masked_sum(picked, alive),
+            _masked_sum(ents, alive),
+            np.stack([p.data for p in picked], axis=1),
+            np.stack([e.data for e in ents], axis=1),
+        )
 
     def score(self, state, messages):
         """Log S(m | state) for given messages, [B] on the active tape."""
@@ -429,12 +450,9 @@ class Sender(ParamModule):
         n = state[0].shape[0]
         if len(batch) != n:
             raise AgentError(f"scored {len(batch)} messages against {n} states")
-
-        def pick(t, logp):
-            return batch.symbols[:, t]
-
-        _, _, log_prob, _, _ = self._unroll(state, n, pick)
-        return log_prob
+        symbols, alive, _, logps = self._unroll(state, lambda t, z, logp: batch.symbols[:, t])
+        terms = [de.take_last(logp, symbols[:, t]) for t, logp in enumerate(logps)]
+        return _masked_sum(terms, alive)
 
 
 # ---------------------------------------------------------------------------
@@ -600,75 +618,49 @@ class Receiver(ParamModule):
         n = enc.final_h.shape[0]
         if len(meanings) != n:
             raise AgentError(f"got {len(meanings)} meanings for {n} encodings")
-        for m in meanings:
-            self.space.index_of(tuple(m))
+        ints, lengths = self.space.rows(meanings)
         if self.space.kind == "attr_val":
-            values = np.asarray([tuple(m) for m in meanings], dtype=np.int64)
             total = None
             for a, head in enumerate(self.heads):
                 lp = de.log_softmax(head(enc.final_h))
-                term = de.take_last(lp, values[:, a])
+                term = de.take_last(lp, ints[:, a])
                 total = term if total is None else de.add(total, term)
             return total
-        return self._dyck_logprob(enc, meanings)
+        return self._dyck_logprob(enc, ints, lengths)
 
-    def _dyck_logprob(self, enc, meanings):
-        end = 2 * self.space.k
-        lengths = np.array([len(m) for m in meanings])
-        t_tot = int(lengths.max()) + 1  # every word scores its tokens then END
-        n = len(meanings)
-        targets = np.full((n, t_tot), end, dtype=np.int64)
-        for b, m in enumerate(meanings):
-            targets[b, : len(m)] = m
-        h, c = enc.final_h, enc.final_c
-        x = de.zeros((n, self.embedding), dtype=self.dtype)
-        total = None
-        for t in range(t_tot):
-            alive = t <= lengths
-            keep = None if alive.all() else _row_mask(alive, self.dtype)
-            if t > 0:
-                x = self.dec_emb(targets[:, t - 1])
-            h, c = self.dec_cell.step(x, h, c, alive)
-            lp = de.log_softmax(self.dec_out(h))
-            term = de.take_last(lp, targets[:, t])
-            if keep is not None:
-                term = de.mul(term, keep)
-            total = term if total is None else de.add(total, term)
-        return total
+    def _dyck_decode(self, enc, steps, next_symbol):
+        return _unroll(
+            self.dec_cell, self.dec_emb, self.dec_out,
+            (enc.final_h, enc.final_c), steps, 2 * self.space.k, next_symbol,
+        )
+
+    def _dyck_logprob(self, enc, tokens, lengths):
+        # teacher-forced: every word scores its tokens, then END
+        t_tot = int(lengths.max()) + 1
+        tokens = np.pad(tokens[:, : t_tot - 1], ((0, 0), (0, 1)))
+        targets = np.where(np.arange(t_tot) < lengths[:, None], tokens, 2 * self.space.k)
+        symbols, alive, _, logps = self._dyck_decode(enc, t_tot, lambda t, z, logp: targets[:, t])
+        terms = [de.take_last(logp, symbols[:, t]) for t, logp in enumerate(logps)]
+        return _masked_sum(terms, alive)
 
     def greedy_decode(self, enc):
         """Most-likely meaning per item under the reconstruction heads.
 
-        Dyck words decode token by token until END; a row that has produced
-        END is frozen, so the decoder LSTM runs only on the rows still
-        decoding."""
+        Dyck words decode token by token until END (or ``l_max`` tokens); a
+        row that has produced END is frozen, so the decoder LSTM runs only on
+        the rows still decoding."""
         if self.space.kind == "attr_val":
             picks = [head(enc.final_h).data.argmax(axis=1) for head in self.heads]
             n = enc.final_h.shape[0]
             return [tuple(int(p[b]) for p in picks) for b in range(n)]
-        end = 2 * self.space.k
-        n = enc.final_h.shape[0]
-        h, c = enc.final_h, enc.final_c
-        x = de.zeros((n, self.embedding), dtype=self.dtype)
-        done = np.zeros(n, dtype=bool)
-        words = [[] for _ in range(n)]
-        prev = None
-        for t in range(self.space.l_max):
-            if t > 0:
-                x = self.dec_emb(prev)
-            h, c = self.dec_cell.step(x, h, c, ~done)
-            sym = self.dec_out(h).data.argmax(axis=1)
-            for b in range(n):
-                if done[b]:
-                    continue
-                if sym[b] == end:
-                    done[b] = True
-                else:
-                    words[b].append(int(sym[b]))
-            if done.all():
-                break
-            prev = np.where(done, end, sym)
-        return [tuple(w) for w in words]
+        if self.space.l_max == 0:
+            return [()] * enc.final_h.shape[0]
+        symbols, alive, _, _ = self._dyck_decode(
+            enc, self.space.l_max, lambda t, z, logp: z.argmax(axis=1)
+        )
+        # a word is its symbols up to, not including, END
+        sizes = (alive & (symbols != 2 * self.space.k)).sum(axis=1)
+        return [tuple(w[:m]) for w, m in zip(symbols.tolist(), sizes.tolist())]
 
     def prior_step(self, read_prev):
         """Log P(next symbol | previous read), [B, vocab]."""
@@ -687,13 +679,7 @@ class Receiver(ParamModule):
         n, t_max = batch.symbols.shape
         if len(reads) < t_max:
             raise AgentError(f"need {t_max} reads, got {len(reads)}")
-        total = None
-        for t in range(t_max):
-            alive = t < batch.lengths
-            keep = None if alive.all() else _row_mask(alive, self.dtype)
-            lp = self.prior_step(reads[t])
-            term = de.take_last(lp, batch.symbols[:, t])
-            if keep is not None:
-                term = de.mul(term, keep)
-            total = term if total is None else de.add(total, term)
-        return total
+        terms = [
+            de.take_last(self.prior_step(reads[t]), batch.symbols[:, t]) for t in range(t_max)
+        ]
+        return _masked_sum(terms, np.arange(t_max) < batch.lengths[:, None])

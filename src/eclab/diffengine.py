@@ -13,15 +13,21 @@ outputs). Its backward then receives a tuple with one cotangent per output,
 output has a cotangent. ``lstm_cell`` is such an op: one LSTM step, with its
 row freeze, as a single record with a hand-written backward.
 
-Shape discipline is explicit: binary ops accept equal shapes, a python number,
-or a 0-d tensor -- nothing else. The row-wise helpers (``add_bias``,
+Shape discipline is explicit: the binary ops (``add``, ``sub``, ``mul``,
+``maximum``, ``minimum``, all through one helper) accept equal shapes, a 0-d
+tensor on either side, or a python number as ``b`` -- nothing else, checked
+before anything is computed. A 0-d operand's cotangent is the sum over the
+output; a python number gets none. The row-wise helpers (``add_bias``,
 ``scale_rows``, ``take_rows``, ``take_last``) cover the patterns that would
 otherwise need implicit broadcasting.
 
 ``maximum``/``minimum`` use a subgradient: the selected operand receives the
-whole gradient and ties go to the first operand. While a tape is active they
-also track the smallest margin ``|a - b|`` seen, so gradient checks can reject
-evaluation points that sit within a finite-difference step of a kink.
+whole gradient and ties go to the first operand. ``kink_margin(f, x)``
+reports the smallest margin ``|a - b|`` any of them (or a fused op with its
+own max/min sites, through ``_note_kink``) saw while ``f(x)`` ran, including
+under tapes ``f`` opens, so gradient checks can reject evaluation points that
+sit within a finite-difference step of a kink. Outside ``kink_margin`` no
+margin is computed.
 """
 
 from __future__ import annotations
@@ -55,16 +61,14 @@ _TAPES: list["Tape"] = []
 class Tape:
     """Context manager that records ops for one backward pass.
 
-    ``kink_margin`` is the smallest ``|a - b|`` any maximum/minimum saw while
-    this tape was the innermost active one (inf if none executed).
+    Tapes nest: ops record on the innermost active one.
     """
 
-    __slots__ = ("_nodes", "_out_ids", "kink_margin")
+    __slots__ = ("_nodes", "_out_ids")
 
     def __init__(self):
         self._nodes = []
         self._out_ids = set()
-        self.kink_margin = float("inf")
 
     def __enter__(self):
         _TAPES.append(self)
@@ -167,14 +171,20 @@ def _record(out, inputs, bw):
             tape._out_ids.add(id(out))
 
 
+# one [margin] cell per open ``kink_margin`` call, innermost last
+_KINK_MARGINS: list[list[float]] = []
+
+
 def _note_kink(a, b):
-    # Called with the two (possibly broadcast) operand arrays of a max/min.
-    if _TAPES:
-        diff = np.abs(a - b)
-        m = float(diff.min()) if diff.size else float("inf")
-        tape = _TAPES[-1]
-        if m < tape.kink_margin:
-            tape.kink_margin = m
+    # Called with the two (possibly broadcast) operand arrays of a max/min;
+    # costs nothing unless a ``kink_margin`` call is open.
+    if not _KINK_MARGINS:
+        return
+    diff = np.abs(a - b)
+    m = float(diff.min()) if diff.size else float("inf")
+    for cell in _KINK_MARGINS:
+        if m < cell[0]:
+            cell[0] = m
 
 
 def _finish(arr, op, inputs, bw):
@@ -196,16 +206,29 @@ def _finish_many(arrs, op, inputs, bw):
     return out
 
 
-def _check_pair(op, a, b):
+def _binary(op, a, b, fwd):
+    """One record for an elementwise binary op (shapes as in the module
+    docstring). ``fwd(a_data, b_data)`` returns the output and the maps from
+    its cotangent to each operand's; a 0-d operand's is summed here."""
+    if isinstance(b, (int, float)):
+        out, da, _ = fwd(a.data, b)
+        return _finish(out, op, (a,), lambda g: (da(g),))
     if a.data.dtype != b.data.dtype:
         raise ShapeError(f"{op}: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
-    if a.shape == b.shape or a.ndim == 0 or b.ndim == 0:
-        return
-    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    out, da, db = fwd(a.data, b.data)
+    if a.shape == b.shape:
+        bw = lambda g: (da(g), db(g))
+    elif a.ndim == 0:
+        bw = lambda g: (np.asarray(da(g).sum()), db(g))
+    else:
+        bw = lambda g: (da(g), np.asarray(db(g).sum()))
+    return _finish(out, op, (a, b), bw)
 
 
-def _sum_to_scalar(g):
-    return np.asarray(g.sum())
+def _same(g):
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -213,87 +236,38 @@ def _sum_to_scalar(g):
 
 
 def add(a, b):
-    if isinstance(b, (int, float)):
-        out = a.data + b
-        return _finish(out, "add", (a,), lambda g: (g,))
-    _check_pair("add", a, b)
-    out = a.data + b.data
-    if a.shape == b.shape:
-        return _finish(out, "add", (a, b), lambda g: (g, g))
-    if a.ndim == 0:
-        return _finish(out, "add", (a, b), lambda g: (_sum_to_scalar(g), g))
-    return _finish(out, "add", (a, b), lambda g: (g, _sum_to_scalar(g)))
+    return _binary("add", a, b, lambda ad, bd: (ad + bd, _same, _same))
 
 
 def sub(a, b):
-    if isinstance(b, (int, float)):
-        out = a.data - b
-        return _finish(out, "sub", (a,), lambda g: (g,))
-    _check_pair("sub", a, b)
-    out = a.data - b.data
-    if a.shape == b.shape:
-        return _finish(out, "sub", (a, b), lambda g: (g, -g))
-    if a.ndim == 0:
-        return _finish(out, "sub", (a, b), lambda g: (_sum_to_scalar(g), -g))
-    return _finish(out, "sub", (a, b), lambda g: (g, -_sum_to_scalar(g)))
+    return _binary("sub", a, b, lambda ad, bd: (ad - bd, _same, np.negative))
 
 
 def mul(a, b):
-    if isinstance(b, (int, float)):
-        out = a.data * b
-        return _finish(out, "mul", (a,), lambda g: (g * b,))
-    _check_pair("mul", a, b)
-    ad, bd = a.data, b.data
-    out = ad * bd
-    if a.shape == b.shape:
-        return _finish(out, "mul", (a, b), lambda g: (g * bd, g * ad))
-    if a.ndim == 0:
-        return _finish(out, "mul", (a, b), lambda g: (_sum_to_scalar(g * bd), g * ad))
-    return _finish(out, "mul", (a, b), lambda g: (g * bd, _sum_to_scalar(g * ad)))
+    return _binary(
+        "mul", a, b, lambda ad, bd: (ad * bd, lambda g: g * bd, lambda g: g * ad)
+    )
+
+
+def _select(pick, first):
+    # forward of maximum/minimum: the whole cotangent goes to the operand
+    # ``pick`` chose, and ``first`` is >= or <=, so ties go to ``a``
+    def fwd(ad, bd):
+        _note_kink(ad, bd)
+        sel = first(ad, bd)
+        return pick(ad, bd), lambda g: g * sel, lambda g: g * ~sel
+
+    return fwd
 
 
 def maximum(a, b):
     """Elementwise max; gradient flows to the larger operand (ties: ``a``)."""
-    if isinstance(b, (int, float)):
-        _note_kink(a.data, np.asarray(b, a.data.dtype))
-        sel = a.data >= b
-        out = np.maximum(a.data, np.asarray(b, a.data.dtype))
-        return _finish(out, "maximum", (a,), lambda g: (g * sel,))
-    _check_pair("maximum", a, b)
-    _note_kink(a.data, b.data)
-    sel = a.data >= b.data
-    out = np.maximum(a.data, b.data)
-    if a.shape == b.shape:
-        return _finish(out, "maximum", (a, b), lambda g: (g * sel, g * ~sel))
-    if a.ndim == 0:
-        return _finish(
-            out, "maximum", (a, b), lambda g: (_sum_to_scalar(g * sel), g * ~sel)
-        )
-    return _finish(
-        out, "maximum", (a, b), lambda g: (g * sel, _sum_to_scalar(g * ~sel))
-    )
+    return _binary("maximum", a, b, _select(np.maximum, np.greater_equal))
 
 
 def minimum(a, b):
     """Elementwise min; gradient flows to the smaller operand (ties: ``a``)."""
-    if isinstance(b, (int, float)):
-        _note_kink(a.data, np.asarray(b, a.data.dtype))
-        sel = a.data <= b
-        out = np.minimum(a.data, np.asarray(b, a.data.dtype))
-        return _finish(out, "minimum", (a,), lambda g: (g * sel,))
-    _check_pair("minimum", a, b)
-    _note_kink(a.data, b.data)
-    sel = a.data <= b.data
-    out = np.minimum(a.data, b.data)
-    if a.shape == b.shape:
-        return _finish(out, "minimum", (a, b), lambda g: (g * sel, g * ~sel))
-    if a.ndim == 0:
-        return _finish(
-            out, "minimum", (a, b), lambda g: (_sum_to_scalar(g * sel), g * ~sel)
-        )
-    return _finish(
-        out, "minimum", (a, b), lambda g: (g * sel, _sum_to_scalar(g * ~sel))
-    )
+    return _binary("minimum", a, b, _select(np.minimum, np.less_equal))
 
 
 # ---------------------------------------------------------------------------
@@ -678,10 +652,15 @@ def backward(tape, loss):
 
 
 def kink_margin(f, x):
-    """Smallest |a - b| seen by any max/min while evaluating ``f(x)``."""
-    with Tape() as tape:
+    """Smallest |a - b| seen by any max/min while evaluating ``f(x)`` (inf if
+    none ran), whatever tapes ``f`` opens itself."""
+    cell = [float("inf")]
+    _KINK_MARGINS.append(cell)
+    try:
         f(x)
-    return tape.kink_margin
+    finally:
+        _KINK_MARGINS.pop()
+    return cell[0]
 
 
 def grad_check(f, x, h=1e-5):

@@ -31,17 +31,34 @@ class MeaningSpace:
     k: int | None = None
     l_max: int | None = None
     _index: dict = field(default=None, repr=False, compare=False)
+    _ints: np.ndarray = field(default=None, repr=False, compare=False)
+    _lengths: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.meanings)
 
+    def _build_index(self):
+        self._index = {m: i for i, m in enumerate(self.meanings)}
+        self._lengths = np.array([len(m) for m in self.meanings], dtype=np.int64)
+        width = self.n_att if self.kind == "attr_val" else self.l_max
+        self._ints = np.zeros((len(self.meanings), width), dtype=np.int64)
+        for i, m in enumerate(self.meanings):
+            self._ints[i, : len(m)] = m
+
     def index_of(self, meaning):
         if self._index is None:
-            self._index = {m: i for i, m in enumerate(self.meanings)}
+            self._build_index()
         idx = self._index.get(tuple(meaning))
         if idx is None:
             raise MeaningError(f"meaning {meaning!r} is not in this space")
         return idx
+
+    def rows(self, meanings):
+        """``(ints, lengths)`` of a batch of meanings: the values [B, n_att],
+        or the Dyck tokens zero-padded to [B, l_max], and each meaning's
+        length [B]. Raises ``MeaningError`` on a meaning not in the space."""
+        idx = np.array([self.index_of(m) for m in meanings], dtype=np.int64)
+        return self._ints[idx], self._lengths[idx]
 
     def __contains__(self, meaning):
         try:

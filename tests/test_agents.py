@@ -17,7 +17,7 @@ from eclab.agents import (
     as_message_batch,
 )
 from eclab.diffengine import Tape, backward, grad_check, kink_margin, tensor
-from eclab.meanings import enumerate_attr_val, enumerate_dyck
+from eclab.meanings import encode_meaning, enumerate_attr_val, enumerate_dyck
 
 
 def attr_space():
@@ -214,6 +214,16 @@ def test_sender_gradient_against_finite_differences():
     assert grad_check(f_enc, s.encoder.lin.W) < 1e-7
 
 
+def test_one_hot_encoder_feeds_the_encode_meaning_rows():
+    sp = attr_space()
+    s = small_sender(sp)
+    ms = [sp.meanings[i] for i in (4, 0, 8, 4)]
+    h, c = s.encode(ms)
+    rows = np.stack([encode_meaning(m, sp, np.float64) for m in ms])
+    hc = s.encoder.lin(tensor(rows, dtype=np.float64))
+    assert np.array_equal(np.concatenate([h.data, c.data], axis=1), hc.data)
+
+
 def test_dyck_sender_handles_empty_word():
     sp = dyck_space()
     s = small_sender(sp)
@@ -381,6 +391,54 @@ def test_greedy_decode_skipping_finished_rows_decodes_the_same():
         assert got == unmasked_greedy_decode(rd, enc)
         lengths.update(len(w) for w in got)
     assert len(lengths) >= 2  # some rows finished while others ran on
+
+
+def looped_dyck_logprob(r, enc, meanings):
+    """The Dyck teacher-forced log-likelihood as its own per-step loop, with
+    the targets padded row by row and a 0/1 mask per step."""
+    end = 2 * r.space.k
+    lengths = np.array([len(m) for m in meanings])
+    t_tot = int(lengths.max()) + 1  # every word scores its tokens then END
+    n = len(meanings)
+    targets = np.full((n, t_tot), end, dtype=np.int64)
+    for b, m in enumerate(meanings):
+        targets[b, : len(m)] = m
+    h, c = enc.final_h, enc.final_c
+    x = de.zeros((n, r.embedding), dtype=r.dtype)
+    total = None
+    for t in range(t_tot):
+        alive = t <= lengths
+        if t > 0:
+            x = r.dec_emb(targets[:, t - 1])
+        h, c = r.dec_cell.step(x, h, c, alive)
+        term = de.take_last(de.log_softmax(r.dec_out(h)), targets[:, t])
+        if not alive.all():
+            term = de.mul(term, de.Tensor._wrap(alive.astype(r.dtype)))
+        total = term if total is None else de.add(total, term)
+    return total
+
+
+def test_dyck_reconstruction_equals_the_looped_likelihood():
+    dy = enumerate_dyck(2, 6)
+    meanings = [dy.meanings[i] for i in (0, 5, 1, 12, 3, 0, 20, 50)]
+    assert {len(m) for m in meanings} == {0, 2, 4, 6}
+    msgs = msgs_batch([(1, 2, 0), (2, 0), (1, 1, 2), (0,), (2, 2, 0), (1, 0), (2, 1, 1), (0,)])
+    weights = tensor(np.random.default_rng(3).standard_normal(len(meanings)), dtype=np.float64)
+    r = small_receiver(dy, seed=4)
+    params = r.named_parameters()
+    out = []
+    for logprob in (r.reconstruct_logprob, lambda enc, ms: looped_dyck_logprob(r, enc, ms)):
+        with Tape() as tape:
+            enc = r.encode(msgs, "learned")
+            lp = logprob(enc, meanings)
+            loss = de.reduce_sum(de.mul(lp, weights))
+        grads = backward(tape, loss)
+        out.append((lp.data, {k: grads[t] for k, t in params.items()}))
+    (lp_got, g_got), (lp_want, g_want) = out
+    assert np.array_equal(lp_got, lp_want)
+    for k in params:
+        assert np.array_equal(g_got[k], g_want[k]), k
+    assert np.any(g_got["dec_emb.table"] != 0)
 
 
 def test_prior_is_a_distribution_over_messages():

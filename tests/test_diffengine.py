@@ -236,6 +236,51 @@ def test_grad_check_scalar_broadcast():
     assert grad_check(f, f64(0.7)) < 1e-8
 
 
+# name -> (op, numpy forward, (a, b, g) -> cotangents of a and b before any sum)
+BINARY_OPS = {
+    "add": (de.add, np.add, lambda a, b, g: (g, g)),
+    "sub": (de.sub, np.subtract, lambda a, b, g: (g, -g)),
+    "mul": (de.mul, np.multiply, lambda a, b, g: (g * b, g * a)),
+    "maximum": (de.maximum, np.maximum, lambda a, b, g: (g * (a >= b), g * (a < b))),
+    "minimum": (de.minimum, np.minimum, lambda a, b, g: (g * (a <= b), g * (a > b))),
+}
+
+
+@pytest.mark.parametrize("form", ["scalar_left", "scalar_right", "number"])
+@pytest.mark.parametrize("name", BINARY_OPS)
+def test_binary_op_with_scalar_operand(name, form):
+    """A 0-d operand on either side, or a python number as ``b``: the forward
+    is numpy's, a 0-d operand's gradient is the summed cotangent, a number
+    gets none, and each tensor operand passes grad_check."""
+    op, ref, cotangents = BINARY_OPS[name]
+    rng = np.random.default_rng([len(name), len(form)])
+    v, s = rng.standard_normal((3, 2)), float(rng.standard_normal())
+    w = f64(rng.standard_normal((3, 2)))
+    a_np, b_np = (s, v) if form == "scalar_left" else (v, s)
+    a = f64(a_np)
+    b = s if form == "number" else f64(b_np)
+
+    def loss_of(x, y):
+        return de.reduce_sum(de.mul(op(x, y), w))
+
+    assert kink_margin(lambda x: loss_of(x, b), a) > 1e-3
+    with Tape() as tape:
+        out = op(a, b)
+        loss = de.reduce_sum(de.mul(out, w))
+    assert len(tape) == 3  # one record for the op
+    assert np.array_equal(out.data, ref(a_np, b_np))
+    grads = backward(tape, loss)
+    ga, gb = cotangents(*np.broadcast_arrays(a_np, b_np), w.data)
+    assert np.array_equal(grads[a], ga.sum() if form == "scalar_left" else ga)
+    assert grad_check(lambda x: loss_of(x, b), a) < 1e-8
+    if form == "number":
+        inputs, bw = tape._nodes[0][1:]
+        assert inputs == (a,) and len(bw(w.data)) == 1
+    else:
+        assert np.array_equal(grads[b], gb.sum() if form == "scalar_right" else gb)
+        assert grad_check(lambda y: loss_of(a, y), b) < 1e-8
+
+
 def test_backward_is_linear():
     rng = np.random.default_rng(17)
     x = f64(rng.standard_normal(6))
@@ -281,6 +326,39 @@ def test_kink_margin_reports_distance():
     x = f64([0.3, -0.2])
     m = kink_margin(lambda t: de.reduce_sum(de.maximum(t, 0.0)), x)
     assert m == pytest.approx(0.2)
+
+
+def test_kink_margin_sees_through_tapes_that_f_opens():
+    x = f64([1e-12, 0.5])
+
+    def bare(t):
+        return de.reduce_sum(de.maximum(t, 0.0))
+
+    def taped(t):
+        with Tape():
+            return bare(t)
+
+    assert kink_margin(bare, x) == 1e-12
+    assert kink_margin(taped, x) == 1e-12
+    # an open call sees what a nested call sees, and the nested call only its own
+    inner = []
+
+    def nested(t):
+        inner.append(kink_margin(bare, de.mul(t, 4.0)))
+        return de.maximum(t, 0.25)
+
+    assert kink_margin(nested, x) == pytest.approx(4e-12)
+    assert inner == [pytest.approx(4e-12)]
+
+
+def test_kink_margin_closes_when_f_raises():
+    def boom(t):
+        de.maximum(t, 0.0)
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError):
+        kink_margin(boom, f64([0.1]))
+    assert kink_margin(lambda t: t, f64([0.0])) == float("inf")
 
 
 def test_adam_zero_grad_is_identity():

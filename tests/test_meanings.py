@@ -68,6 +68,19 @@ def test_encode_rejects_foreign_meaning():
         encode_meaning((1, 2, 3), sp)
 
 
+def test_rows_gather_the_meanings_as_ints():
+    for sp in (enumerate_attr_val(3, 4), enumerate_dyck(2, 6)):
+        ms = [sp.meanings[i] for i in (7, 0, 20, 7, len(sp) - 1)]
+        ints, lengths = sp.rows([list(m) for m in ms])
+        width = sp.n_att if sp.kind == "attr_val" else sp.l_max
+        assert ints.shape == (len(ms), width) and ints.dtype == np.int64
+        for row, n, m in zip(ints, lengths, ms):
+            assert n == len(m)
+            assert tuple(row[:n]) == m and not row[n:].any()
+        with pytest.raises(MeaningError):
+            sp.rows(ms + [(0,) * 7])
+
+
 def test_dyck_small_enumeration_explicit():
     sp = enumerate_dyck(1, 4)
     assert sp.meanings == [(), (0, 1), (0, 0, 1, 1), (0, 1, 0, 1)]
