@@ -3,7 +3,8 @@
 Ops evaluate eagerly and, when a ``Tape`` is active, append a record
 ``(out, inputs, backward_fn)`` to it. Creation order on the tape is a valid
 topological order, so ``backward`` just walks the records in reverse and
-accumulates cotangents keyed by tensor identity. With no tape active the ops
+accumulates cotangents keyed by tensor identity, releasing each record's
+output cotangents once it has run. With no tape active the ops
 are plain numpy calls, which keeps evaluation-only code (greedy decoding,
 metrics) fast.
 
@@ -601,18 +602,24 @@ def log_softmax(x):
 
 
 class Gradients:
-    """Gradient lookup keyed by tensor identity; absent tensors read as zero."""
+    """Gradient lookup keyed by tensor identity; absent tensors read as zero.
+
+    Only leaves have entries: tensors that no record on the tape produced
+    (parameters, inputs, constants). An intermediate tensor and the loss
+    itself read zero once ``backward`` has returned. Each entry keeps a
+    reference to its tensor, so no entry outlives its tensor's ``id``.
+    """
 
     __slots__ = ("_table",)
 
     def __init__(self, table):
-        self._table = table
+        self._table = table  # id(t) -> (t, gradient)
 
     def __getitem__(self, t):
-        g = self._table.get(id(t))
-        if g is None:
+        entry = self._table.get(id(t))
+        if entry is None:
             return np.zeros(t.shape, dtype=t.dtype)
-        out = np.asarray(g, dtype=t.dtype)
+        out = np.asarray(entry[1], dtype=t.dtype)
         if out.shape != t.shape:  # pragma: no cover - internal invariant
             raise ShapeError(f"gradient shape {out.shape} for tensor {t.shape}")
         return out
@@ -621,24 +628,32 @@ class Gradients:
         return id(t) in self._table
 
 
-def backward(tape, loss):
-    """Accumulate d(loss)/d(tensor) for every tensor recorded on ``tape``.
+def _pop_grad(table, t):
+    entry = table.pop(id(t), None)
+    return None if entry is None else entry[1]
 
-    ``loss`` must be a 0-d tensor produced while ``tape`` was active. Tensors
-    with no path to the loss simply have no entry (``Gradients`` reads zero).
+
+def backward(tape, loss):
+    """Accumulate d(loss)/d(leaf) for every leaf tensor recorded on ``tape``.
+
+    ``loss`` must be a 0-d tensor produced while ``tape`` was active. A
+    record's cotangents are released as soon as its backward has consumed
+    them, so the table only ever holds what backward still needs, and the
+    result has entries for leaves alone: intermediate tensors and the loss
+    itself read zero. Tensors with no path to the loss have no entry either.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got {loss.shape}")
     if id(loss) not in tape._out_ids:
         raise DiffError("backward: loss was not produced on this tape")
-    table = {id(loss): np.ones((), dtype=loss.dtype)}
+    table = {id(loss): (loss, np.ones((), dtype=loss.dtype))}
     for out, inputs, bw in reversed(tape._nodes):
         if isinstance(out, tuple):
-            g = tuple(table.get(id(o)) for o in out)
+            g = tuple(_pop_grad(table, o) for o in out)
             if all(gi is None for gi in g):
                 continue
         else:
-            g = table.get(id(out))
+            g = _pop_grad(table, out)
             if g is None:
                 continue
         gs = bw(g)
@@ -647,7 +662,7 @@ def backward(tape, loss):
                 continue
             key = id(t)
             acc = table.get(key)
-            table[key] = gi if acc is None else acc + gi
+            table[key] = (t, gi if acc is None else acc[1] + gi)
     return Gradients(table)
 
 

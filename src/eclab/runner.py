@@ -222,12 +222,59 @@ def _json_value(x):
     return None if math.isnan(x) else x
 
 
+# Peak-memory model of one training step: a fixed base plus, per batch item,
+# the tape's saved activations. Calibrated on single ``eclab run`` processes
+# of exp1-dyck-k4 (hidden 512, float32), whose peak grows by ~0.62 MB per item.
+BASE_MB = 150.0
+TAPE_VALUES_PER_UNIT_STEP = 9.5  # saved values per hidden unit and unrolled step
+
+
+def estimate_peak_mb(config, itemsize=4):
+    """Estimated peak RSS (MB) of a run of ``config`` with ``itemsize``-byte
+    floats: the sender and receiver unroll ``max_len`` steps each, and on Dyck
+    meanings the sender's encoder and the receiver's decoder ``l_max`` more."""
+    steps = 2 * config.max_len + (2 * config.l_max if config.space == "dyck" else 0)
+    per_item = TAPE_VALUES_PER_UNIT_STEP * config.hidden * steps * itemsize
+    return BASE_MB + config.batch_size * per_item / 2**20
+
+
+def available_memory_mb(meminfo="/proc/meminfo"):
+    """``MemAvailable`` in MB, or None where it cannot be read."""
+    try:
+        with open(meminfo) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) / 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
+def memory_refusal(config, itemsize=4):
+    """Why ``config`` must not start (its estimated peak exceeds the memory
+    available now), or None if it fits or the available memory is unknown."""
+    available = available_memory_mb()
+    if available is None:
+        return None
+    estimate = estimate_peak_mb(config, itemsize)
+    if estimate <= available:
+        return None
+    return (
+        f"memory preflight: estimated peak {estimate:.0f} MB exceeds the "
+        f"{available:.0f} MB available (batch_size {config.batch_size}, hidden "
+        f"{config.hidden}, max_len {config.max_len}, l_max {config.l_max}); "
+        "lower batch_size"
+    )
+
+
 def run(config, out_dir=None):
     """Train one sender/receiver pair and persist metrics along the way.
 
     ``out_dir`` overrides ``config.out_dir``; one of the two must be set. A
     non-finite loss marks the run failed in summary.json (with diagnostics)
-    instead of raising, so sweeps continue past bad seeds.
+    instead of raising, so sweeps continue past bad seeds. So does a run the
+    memory preflight refuses (``memory_refusal``): it trains nothing and
+    writes no metrics.csv rows.
     """
     out = pathlib.Path(out_dir or config.out_dir or "")
     if str(out) in ("", "."):
@@ -242,6 +289,10 @@ def run(config, out_dir=None):
     dtype = np.float64 if deterministic else np.float32
     strategy = Strategy.parse(config.strategy)
     use_prior = config.beta_mode == "rewo"
+
+    refusal = memory_refusal(config, np.dtype(dtype).itemsize)
+    if refusal is not None:
+        return _finish_run(config, out, [], config.beta0 if use_prior else 0.0, refusal, 0.0)
 
     space = build_space(config)
     train_idx, test_idx = split(space, seed=stream_seed(config.seed, "split"))
@@ -320,6 +371,7 @@ def run(config, out_dir=None):
                 branch_rng=branch_rng,
             )
             params = adam_step(opt, params, grads)
+            grads = None  # not kept alive through the next step's peak
             load_parameters(sender, receiver, params)
             last_stats = stats
             if use_prior:
@@ -334,12 +386,18 @@ def run(config, out_dir=None):
                     break
     except NonFiniteLossError as exc:
         error = f"{exc} | details: {exc.details}"
+    wall = 0.0 if deterministic else time.monotonic() - started
+    return _finish_run(config, out, records, beta, error, wall)
 
+
+def _finish_run(config, out, records, beta, error, wall_seconds):
+    """Write ``summary.json`` for a run that ended (or was refused)."""
+    use_prior = config.beta_mode == "rewo"
     final = records[-1] if records else None
     kept = (not error) and (run_filter(beta) if use_prior else True)
     summary = {
         "preset": config.preset,
-        "strategy": strategy.value,
+        "strategy": Strategy.parse(config.strategy).value,
         "seed": config.seed,
         "iterations_done": final.iteration if final else 0,
         "final_comacc_train": _json_value(final.comacc_train) if final else None,
@@ -354,7 +412,7 @@ def run(config, out_dir=None):
         "kept": bool(kept),
         "failed": error is not None,
         "error": error,
-        "wall_seconds_total": 0.0 if deterministic else time.monotonic() - started,
+        "wall_seconds_total": wall_seconds,
         "stream_seeds": {name: stream_seed(config.seed, name) for name in STREAM_NAMES},
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

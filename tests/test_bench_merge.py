@@ -69,3 +69,38 @@ def test_merge_refuses_mixed_commits_and_no_untraced_result():
         )
     with pytest.raises(bench_merge.MergeError, match="untraced"):
         bench_merge.merge([record("w", 1, 1, {})], "z")
+
+
+def test_extra_block_is_copied_and_checked(tmp_path):
+    (tmp_path / "result-0.json").write_text(
+        json.dumps(record("attrval-h64", 1, 0, {"iters_per_s": (20.0, "iter/s")}))
+    )
+    extra = {
+        "big.peak_rss_mb": {"value": 4890.5, "unit": "MB", "command": "python -m eclab run"},
+        "big.s_per_step": {"value": 19, "unit": "s", "command": "python -m eclab run"},
+    }
+    (tmp_path / "extra.json").write_text(json.dumps(extra))
+    out = tmp_path / "BENCH_x.json"
+    args = ["--label", "x", "--in", str(tmp_path), "--out", str(out)]
+    assert bench_merge.main(args + ["--extra", str(tmp_path / "extra.json")]) == 0
+    bench = json.loads(out.read_text())
+    assert set(bench) == {"label", "commit", "machine", "seconds", "workloads", "extra"}
+    assert bench["extra"] == extra
+    assert bench_merge.main(args) == 0
+    assert "extra" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [],
+        {"m": {"value": 1.0, "unit": "MB"}},
+        {"m": {"value": 1.0, "unit": "MB", "command": "c", "note": "n"}},
+        {"m": {"value": "1", "unit": "MB", "command": "c"}},
+        {"m": {"value": True, "unit": "MB", "command": "c"}},
+        {"m": {"value": 1.0, "unit": None, "command": "c"}},
+    ],
+)
+def test_extra_block_rejects_malformed_entries(extra):
+    with pytest.raises(bench_merge.MergeError, match="extra"):
+        bench_merge.merge([record("w", 1, 0, {})], "z", extra)

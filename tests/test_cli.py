@@ -64,6 +64,18 @@ def test_run_end_to_end(tmp_path, capsys):
     assert (tmp_path / "r" / "metrics.csv").exists()
 
 
+def test_run_refused_by_the_memory_preflight_exits_1(tmp_path, capsys, monkeypatch):
+    from eclab import runner
+
+    monkeypatch.setattr(runner, "available_memory_mb", lambda: 64.0)
+    rc = main(["run", "--preset", "smoke-attrval", "--out", str(tmp_path / "r")] + TINY_SETS)
+    assert rc == 1
+    assert "run FAILED: memory preflight" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert summary["failed"] is True and summary["iterations_done"] == 0
+    assert not (tmp_path / "r" / "metrics.csv").exists()
+
+
 def test_run_from_config_file(tmp_path, capsys):
     base = main(["run", "--preset", "smoke-attrval", "--print-config"] + TINY_SETS)
     assert base == 0

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,114 @@ def test_unreached_tensor_has_zero_grad():
     g = backward(tape, loss)
     assert y not in g
     np.testing.assert_array_equal(g[y], np.zeros(2))
+
+
+def test_intermediates_and_loss_have_no_gradient_entry():
+    x = f64([1.0, -2.0, 3.0])
+    with Tape() as tape:
+        y = de.mul(x, x)
+        z = de.tanh(y)
+        loss = de.reduce_sum(z)
+    g = backward(tape, loss)
+    for t in (y, z, loss):
+        assert t not in g
+        np.testing.assert_array_equal(g[t], np.zeros(t.shape))
+    assert x in g
+    np.testing.assert_array_equal(g[x], (1.0 - z.data**2) * 2.0 * x.data)
+
+
+def _tensors_reachable_from(obj, depth):
+    found, frontier = [], [obj]
+    for _ in range(depth):
+        frontier = [r for o in frontier for r in gc.get_referents(o)]
+        found += [r for r in frontier if isinstance(r, Tensor)]
+    return found
+
+
+def test_leaf_known_only_to_the_tape_outlives_the_tape():
+    # ``weighted`` makes a leaf that nothing but the tape refers to; its
+    # gradient entry must keep it alive, or its id could be handed to a new
+    # tensor while the entry still answers for it
+    def weighted(x):
+        w = f64([0.5, -1.5])
+        return de.reduce_sum(de.mul(x, w))
+
+    x = f64([2.0, 3.0])
+    with Tape() as tape:
+        loss = weighted(x)
+    w_id = id(tape._nodes[0][1][1])
+    g = backward(tape, loss)
+    del tape, loss
+    gc.collect()
+    (w,) = [t for t in _tensors_reachable_from(g, 3) if id(t) == w_id]
+    np.testing.assert_array_equal(w.data, [0.5, -1.5])
+    assert w in g
+    np.testing.assert_array_equal(g[w], x.data)
+
+
+class _EveryEntry:
+    def __init__(self, table):
+        self.table = table
+
+    def __getitem__(self, t):
+        g = self.table.get(id(t))
+        return np.zeros(t.shape, dtype=t.dtype) if g is None else np.asarray(g, dtype=t.dtype)
+
+
+def _backward_keeping_every_entry(tape, loss):
+    # backward as it was before cotangents were released: table.get, never pop
+    table = {id(loss): np.ones((), dtype=loss.dtype)}
+    for out, inputs, bw in reversed(tape._nodes):
+        if isinstance(out, tuple):
+            g = tuple(table.get(id(o)) for o in out)
+            if all(gi is None for gi in g):
+                continue
+        else:
+            g = table.get(id(out))
+            if g is None:
+                continue
+        for t, gi in zip(inputs, bw(g)):
+            if gi is not None:
+                acc = table.get(id(t))
+                table[id(t)] = gi if acc is None else acc + gi
+    return _EveryEntry(table)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("strategy", ["learned", "left", "random"])
+@pytest.mark.parametrize("space_kind", ["attr_val", "dyck"])
+def test_play_batch_gradients_equal_a_table_that_keeps_every_entry(
+    space_kind, strategy, dtype, monkeypatch
+):
+    from eclab import game
+    from eclab.meanings import enumerate_attr_val, enumerate_dyck
+
+    space = enumerate_attr_val(2, 3) if space_kind == "attr_val" else enumerate_dyck(2, 6)
+    config = game.GameConfig(
+        strategy=strategy, beta_mode="rewo", batch_size=8, hidden=8, embedding=4,
+        vocab=3, max_len=4,
+    )
+
+    def grads():
+        sender, receiver = game.build_agents(
+            space, config, np.random.default_rng(3), dtype=dtype
+        )
+        meanings = [space.meanings[i] for i in np.random.default_rng(5).integers(
+            0, len(space.meanings), size=config.batch_size
+        )]
+        _, g, _ = game.play_batch(
+            sender, receiver, meanings, config, rng=np.random.default_rng(7),
+            baseline=game.BaselineState(), beta=0.3, branch_rng=np.random.default_rng(9),
+        )
+        return g
+
+    released = grads()
+    monkeypatch.setattr(game, "backward", _backward_keeping_every_entry)
+    kept = grads()
+    assert set(released) == set(kept)
+    for name in kept:
+        assert released[name].dtype == dtype
+        np.testing.assert_array_equal(released[name], kept[name], err_msg=name)
 
 
 def test_backward_requires_scalar_loss_from_this_tape():

@@ -1,20 +1,28 @@
 import csv
+import importlib.util
 import json
 import math
+import pathlib
+import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from eclab import runner as runner_module
 from eclab.metrics import CSV_FIELDS, read_metrics
 from eclab.runner import (
     PRESETS,
     STREAM_NAMES,
     RunConfig,
     RunnerError,
+    available_memory_mb,
     build_space,
     coerce_field,
     config_from_dict,
+    estimate_peak_mb,
+    memory_refusal,
     report,
     resolve_preset,
     run,
@@ -208,6 +216,76 @@ def test_run_deterministic_mode_byte_identical(tmp_path, monkeypatch):
     b = (tmp_path / "b" / "metrics.csv").read_bytes()
     assert a == b
     assert all(r.wall_seconds == 0.0 for r in read_metrics(tmp_path / "a" / "metrics.csv"))
+
+
+# ---------------------------------------------------------------------------
+# memory preflight
+
+
+def test_available_memory_reads_meminfo(tmp_path):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:        8222320 kB\nMemAvailable:    2097152 kB\n")
+    assert available_memory_mb(str(meminfo)) == 2048.0
+    meminfo.write_text("MemTotal:        8222320 kB\n")
+    assert available_memory_mb(str(meminfo)) is None
+    assert available_memory_mb(str(tmp_path / "missing")) is None
+
+
+def test_peak_estimate_follows_the_calibration():
+    dyck = resolve_preset("exp1-dyck-k4")
+    per_item = estimate_peak_mb(replace(dyck, batch_size=2048)) - estimate_peak_mb(
+        replace(dyck, batch_size=1024)
+    )
+    assert 0.55 <= per_item / 1024 <= 0.65  # MB per item at hidden 512, float32
+    assert estimate_peak_mb(dyck, itemsize=8) > estimate_peak_mb(dyck)
+    assert estimate_peak_mb(replace(dyck, hidden=256)) < estimate_peak_mb(dyck)
+    assert estimate_peak_mb(replace(dyck, l_max=18)) > estimate_peak_mb(dyck)
+    # l_max is unused on attribute-value meanings
+    attr = resolve_preset("prelim-4x8")
+    assert estimate_peak_mb(replace(attr, l_max=30)) == estimate_peak_mb(attr)
+
+
+def test_preflight_refuses_a_run_that_does_not_fit(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner_module, "available_memory_mb", lambda: 100.0)
+    result = run(tiny_config(), out_dir=tmp_path / "r")
+    assert result.failed and result.records == []
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert summary["failed"] is True and summary["kept"] is False
+    assert summary["iterations_done"] == 0
+    estimate = estimate_peak_mb(tiny_config())
+    assert f"estimated peak {estimate:.0f} MB" in summary["error"]
+    assert "100 MB available" in summary["error"]
+    assert (tmp_path / "r" / "config.json").exists()
+    assert not (tmp_path / "r" / "metrics.csv").exists()
+
+
+def test_preflight_is_skipped_when_memory_is_unknown(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner_module, "available_memory_mb", lambda: None)
+    assert memory_refusal(resolve_preset("exp1-dyck-k1")) is None
+    assert not run(tiny_config(), out_dir=tmp_path / "r").failed
+
+
+def _benchmark_workloads(monkeypatch):
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS.values()
+
+
+def test_preflight_passes_every_benchmark_workload_and_test_preset(monkeypatch):
+    # with 1 GiB available: benchmark runs are float32, tier-1 runs may be float64
+    monkeypatch.setattr(runner_module, "available_memory_mb", lambda: 1024.0)
+    workloads = _benchmark_workloads(monkeypatch)
+    assert len(workloads) == 3
+    configs = [(resolve_preset(w.preset, **w.overrides), 4) for w in workloads]
+    configs += [
+        (resolve_preset(name, k=k), 8) for name in ("smoke-attrval", "smoke-dyck") for k in (1, 4)
+    ]
+    configs.append((tiny_config(), 8))
+    for config, itemsize in configs:
+        assert memory_refusal(config, itemsize) is None, config.preset
 
 
 def test_eval_knobs_do_not_touch_training(tmp_path):

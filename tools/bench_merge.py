@@ -1,6 +1,7 @@
 """Merge one commit's perfbench results into a committed ``BENCH_<label>.json``.
 
     python3 tools/bench_merge.py --label main [--in .bench_out] [--out BENCH_main.json]
+                                 [--extra EXTRA.json]
 
 Reads every ``result-*.json`` that ``perfbench/run.py`` wrote into the input
 directory; they must all come from one commit. Untraced results (``--trace
@@ -8,6 +9,11 @@ directory; they must all come from one commit. Untraced results (``--trace
 metrics. Per workload, every metric keeps its value for each seed and their
 median, and the runs keep their attempted and failed counts. The machine
 facts (with the matmul peak) come from an untraced result.
+
+``--extra`` adds numbers perfbench has no workload for: a JSON object
+``{name: {"value": number, "unit": str, "command": str}}``, where
+``command`` is the exact command that measured the value. It is copied
+into the record's ``extra`` block.
 """
 
 from __future__ import annotations
@@ -39,8 +45,23 @@ def _workload(workloads, name):
     )
 
 
-def merge(results, label):
-    """One BENCH record from perfbench result dicts of one commit."""
+def check_extra(extra):
+    """``extra`` if it maps names to ``{value, unit, command}``, else raise."""
+    if not isinstance(extra, dict):
+        raise MergeError("extra must be a JSON object of named entries")
+    for name, entry in extra.items():
+        if not isinstance(entry, dict) or set(entry) != {"value", "unit", "command"}:
+            raise MergeError(f"extra {name!r} must have exactly value, unit and command")
+        if isinstance(entry["value"], bool) or not isinstance(entry["value"], (int, float)):
+            raise MergeError(f"extra {name!r}: value must be a number")
+        if not (isinstance(entry["unit"], str) and isinstance(entry["command"], str)):
+            raise MergeError(f"extra {name!r}: unit and command must be strings")
+    return extra
+
+
+def merge(results, label, extra=None):
+    """One BENCH record from perfbench result dicts of one commit, plus the
+    ``extra`` entries if any."""
     if not results:
         raise MergeError("no results to merge")
     commits = {r["context"]["machine"].get("commit") for r in results}
@@ -67,13 +88,16 @@ def merge(results, label):
         for section in ("end_to_end", "per_layer"):
             for entry in w[section].values():
                 entry["median"] = statistics.median(entry["by_seed"].values())
-    return {
+    record = {
         "label": label,
         "commit": commits.pop(),
         "machine": untraced[0]["context"]["machine"],
         "seconds": sorted({r["context"]["seconds"] for r in results}),
         "workloads": dict(sorted(workloads.items())),
     }
+    if extra is not None:
+        record["extra"] = check_extra(extra)
+    return record
 
 
 def main(argv=None):
@@ -81,10 +105,12 @@ def main(argv=None):
     parser.add_argument("--label", required=True)
     parser.add_argument("--in", dest="inputs", default=".bench_out")
     parser.add_argument("--out", help="default: BENCH_<label>.json")
+    parser.add_argument("--extra", help="JSON file of {name: {value, unit, command}}")
     args = parser.parse_args(argv)
     paths = sorted(pathlib.Path(args.inputs).glob("result-*.json"))
     try:
-        record = merge([json.loads(p.read_text()) for p in paths], args.label)
+        extra = json.loads(pathlib.Path(args.extra).read_text()) if args.extra else None
+        record = merge([json.loads(p.read_text()) for p in paths], args.label, extra)
     except MergeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
