@@ -224,9 +224,11 @@ def _json_value(x):
 
 # Peak-memory model of one training step: a fixed base plus, per batch item,
 # the tape's saved activations. Calibrated on single ``eclab run`` processes
-# of exp1-dyck-k4 (hidden 512, float32), whose peak grows by ~0.62 MB per item.
+# of exp1-dyck-k4 (hidden 512, float32), which peaked at 753, 1352 and
+# 5079 MB at batch 1024, 2048 and 8192 (~0.6 MB per item); the model gives
+# 771, 1392 and 5116 MB.
 BASE_MB = 150.0
-TAPE_VALUES_PER_UNIT_STEP = 9.5  # saved values per hidden unit and unrolled step
+TAPE_VALUES_PER_UNIT_STEP = 9.7  # saved values per hidden unit and unrolled step
 
 
 def estimate_peak_mb(config, itemsize=4):
