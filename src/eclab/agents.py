@@ -16,6 +16,17 @@ running each item on its own). The LSTM cells and ``stack_step`` take the
 bool ``alive`` mask directly: a frozen row keeps its h and c, pops and pushes
 nothing and keeps its last read, inside the fused op.
 
+The receiver's state after step t depends only on the message prefix up to
+t (for the learned and left strategies), so ``Receiver.encode`` runs each
+step on *nodes*, one per distinct EOS-padded prefix, rather than on rows:
+step t has at most min(V^(t+1), B) of them for vocabulary V and batch B.
+Rows whose message has ended stay as frozen nodes (``alive`` False), so
+pruning and kink margins see the same program as a row-level encode. A
+node's carried state is gathered from its parent's by ``gather_rows``, and
+the outputs (final state, reads, traces) are gathered back to rows. The
+random strategy draws per row, so it keys each node by its row: its nodes
+are the rows and no gather runs.
+
 One decoding loop, ``_unroll``, serves the sender's emission and scoring and
 the Dyck receiver's teacher-forced log-likelihood and greedy decoding; one
 masked step-sum, ``_masked_sum``, adds up per-step terms (the only place that
@@ -28,7 +39,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -474,6 +485,12 @@ class StepTrace:
     r: Tensor
 
 
+def _to_rows(node, *ts):
+    """Gather node-level tensors ``ts`` to rows by the [B] ``node`` map; no
+    record when every row is its own node, in order."""
+    return ts if np.array_equal(node, np.arange(len(node))) else de.gather_rows(ts, node)
+
+
 @dataclass
 class EncodeResult:
     """Controller output after consuming a message batch.
@@ -486,8 +503,9 @@ class EncodeResult:
     final_h: Tensor
     final_c: Tensor
     reads: list
-    stack: StackState
+    stack: StackState  # the last step's nodes' stacks
     trace: list | None = None
+    nodes: list | None = None  # per step, the [B] node index of each row
 
 
 class Receiver(ParamModule):
@@ -573,45 +591,72 @@ class Receiver(ParamModule):
         Left-branching: u = d = r = 1 constants. Random-branching: uniform
         draws in [0, cap], fresh each step or once per message depending on
         ``random_resample``; draws come from ``rng`` and bypass the tape.
+
+        Step t runs on nodes, one per distinct message prefix up to t (a
+        finished row's prefix ends in a mark of its own, so finished rows
+        make frozen nodes). A node's state (h, c, read and stack) is gathered
+        from its parent's, and the results are gathered back to rows. The
+        random strategy keys each node by its row, as its draws differ per
+        row, so its nodes are the rows and every gather is skipped.
         """
         batch = as_message_batch(messages, self.max_len, self.vocab)
         strategy = Strategy.parse(strategy)
-        if strategy is Strategy.RANDOM_BRANCHING and rng is None:
+        random = strategy is Strategy.RANDOM_BRANCHING
+        if random and rng is None:
             raise AgentError("random branching needs an rng for its draws")
         n, t_max = batch.symbols.shape
-        h = de.zeros((n, self.hidden), dtype=self.dtype)
-        c = de.zeros((n, self.hidden), dtype=self.dtype)
-        read = de.zeros((n, self.hidden), dtype=self.dtype)
-        stack = StackState.empty(self.hidden, batch=n, dtype=self.dtype)
-        reads = [read]
-        trace = [] if want_trace else None
-        ones = Tensor._wrap(np.ones(n, dtype=self.dtype))
         frozen_draws = None
-        if strategy is Strategy.RANDOM_BRANCHING and self.random_resample == "per_message":
+        if random and self.random_resample == "per_message":
             frozen_draws = self._random_directives(rng, n)
+        node = np.arange(n) if random else np.zeros(n, dtype=np.int64)
+        reads = [de.zeros((n, self.hidden), dtype=self.dtype)]
+        trace = [] if want_trace else None
+        nodes = []
         for t in range(t_max):
             alive = t < batch.lengths
-            x = self.emb(batch.symbols[:, t])
-            h, c = self.cell.step(de.concat([x, read]), h, c, alive)
+            # a node per (parent node, symbol), where a finished row reads the
+            # mark ``vocab`` instead of its symbol; per row under random
+            key = node if random else node * (self.vocab + 1) + np.where(
+                alive, batch.symbols[:, t], self.vocab
+            )
+            _, first, node = np.unique(key, return_index=True, return_inverse=True)
+            parent = nodes[-1][first] if nodes else None
+            nodes.append(node)
+            m = len(first)
+            live = alive[first]
+            if t == 0:
+                h, c, read = (de.zeros((m, self.hidden), dtype=self.dtype) for _ in range(3))
+                stack = StackState.empty(self.hidden, batch=m, dtype=self.dtype)
+            elif m != stack.batch:  # else each node's parent is itself
+                h, c, read, *entries = de.gather_rows(
+                    (h, c, read, *stack.values, *stack.strengths), parent
+                )
+                depth = stack.depth
+                stack = replace(
+                    stack, values=tuple(entries[:depth]), strengths=tuple(entries[depth:]), batch=m
+                )
+            x = self.emb(batch.symbols[first, t])
+            h, c = self.cell.step(de.concat([x, read]), h, c, live)
             v = de.tanh(self.to_value(h))
             if strategy is Strategy.LEARNED:
                 u = de.mul(de.sigmoid(self.to_u(h)), self.k_u)
                 d = de.mul(de.sigmoid(self.to_d(h)), self.k_d)
                 r = de.mul(de.sigmoid(self.to_r(h)), self.k_r)
             elif strategy is Strategy.LEFT_BRANCHING:
-                u = d = r = ones
+                u = d = r = Tensor._wrap(np.ones(m, dtype=self.dtype))
             elif frozen_draws is not None:
                 u, d, r = frozen_draws
             else:
                 u, d, r = self._random_directives(rng, n)
             # finished rows pop and push nothing and keep their last read
             stack, read = stack_step(
-                stack, StackDirectives(v=v, u=u, d=d, r=r), alive=alive, prev_read=read
+                stack, StackDirectives(v=v, u=u, d=d, r=r), alive=live, prev_read=read
             )
-            reads.append(read)
+            reads.append(_to_rows(node, read)[0])
             if want_trace:
-                trace.append(StepTrace(push_value=v, read=read, u=u, d=d, r=r))
-        return EncodeResult(h, c, reads, stack, trace)
+                trace.append(StepTrace(*_to_rows(node, v, read, u, d, r)))
+        final_h, final_c = _to_rows(node, h, c)
+        return EncodeResult(final_h, final_c, reads, stack, trace, nodes)
 
     def reconstruct_logprob(self, enc, meanings):
         """log R(meaning | final state), [B] on the active tape."""
@@ -628,10 +673,10 @@ class Receiver(ParamModule):
             return total
         return self._dyck_logprob(enc, ints, lengths)
 
-    def _dyck_decode(self, enc, steps, next_symbol):
+    def _dyck_decode(self, state, steps, next_symbol):
         return _unroll(
             self.dec_cell, self.dec_emb, self.dec_out,
-            (enc.final_h, enc.final_c), steps, 2 * self.space.k, next_symbol,
+            state, steps, 2 * self.space.k, next_symbol,
         )
 
     def _dyck_logprob(self, enc, tokens, lengths):
@@ -639,28 +684,37 @@ class Receiver(ParamModule):
         t_tot = int(lengths.max()) + 1
         tokens = np.pad(tokens[:, : t_tot - 1], ((0, 0), (0, 1)))
         targets = np.where(np.arange(t_tot) < lengths[:, None], tokens, 2 * self.space.k)
-        symbols, alive, _, logps = self._dyck_decode(enc, t_tot, lambda t, z, logp: targets[:, t])
+        symbols, alive, _, logps = self._dyck_decode(
+            (enc.final_h, enc.final_c), t_tot, lambda t, z, logp: targets[:, t]
+        )
         terms = [de.take_last(logp, symbols[:, t]) for t, logp in enumerate(logps)]
         return _masked_sum(terms, alive)
 
     def greedy_decode(self, enc):
         """Most-likely meaning per item under the reconstruction heads.
 
-        Dyck words decode token by token until END (or ``l_max`` tokens); a
-        row that has produced END is frozen, so the decoder LSTM runs only on
-        the rows still decoding."""
+        Rows that read one message share its final state, so each distinct
+        final node decodes once. Dyck words decode token by token until END
+        (or ``l_max`` tokens); a row that has produced END is frozen, so the
+        decoder LSTM runs only on the rows still decoding."""
+        n = enc.final_h.shape[0]
+        node = enc.nodes[-1] if enc.nodes else np.arange(n)
+        first = np.unique(node, return_index=True)[1]
+        h = Tensor._wrap(enc.final_h.data[first])
         if self.space.kind == "attr_val":
-            picks = [head(enc.final_h).data.argmax(axis=1) for head in self.heads]
-            n = enc.final_h.shape[0]
-            return [tuple(int(p[b]) for p in picks) for b in range(n)]
-        if self.space.l_max == 0:
-            return [()] * enc.final_h.shape[0]
-        symbols, alive, _, _ = self._dyck_decode(
-            enc, self.space.l_max, lambda t, z, logp: z.argmax(axis=1)
-        )
-        # a word is its symbols up to, not including, END
-        sizes = (alive & (symbols != 2 * self.space.k)).sum(axis=1)
-        return [tuple(w[:m]) for w, m in zip(symbols.tolist(), sizes.tolist())]
+            picks = np.stack([head(h).data.argmax(axis=1) for head in self.heads], axis=1)
+            words = [tuple(p) for p in picks.tolist()]
+        elif self.space.l_max == 0:
+            return [()] * n
+        else:
+            c = Tensor._wrap(enc.final_c.data[first])
+            symbols, alive, _, _ = self._dyck_decode(
+                (h, c), self.space.l_max, lambda t, z, logp: z.argmax(axis=1)
+            )
+            # a word is its symbols up to, not including, END
+            sizes = (alive & (symbols != 2 * self.space.k)).sum(axis=1)
+            words = [tuple(w[:m]) for w, m in zip(symbols.tolist(), sizes.tolist())]
+        return [words[i] for i in node.tolist()]
 
     def prior_step(self, read_prev):
         """Log P(next symbol | previous read), [B, vocab]."""

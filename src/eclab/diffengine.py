@@ -20,7 +20,8 @@ tensor on either side, or a python number as ``b`` -- nothing else, checked
 before anything is computed. A 0-d operand's cotangent is the sum over the
 output; a python number gets none. The row-wise helpers (``add_bias``,
 ``scale_rows``, ``take_rows``, ``take_last``) cover the patterns that would
-otherwise need implicit broadcasting.
+otherwise need implicit broadcasting; ``gather_rows`` gathers the same rows
+of several tensors in one record.
 
 ``maximum``/``minimum`` use a subgradient: the selected operand receives the
 whole gradient and ties go to the first operand. ``kink_margin(f, x)``
@@ -344,23 +345,54 @@ def scale_rows(m, s):
     )
 
 
+def _scatter_rows(g, idx, n_rows):
+    # cotangent of a row gather: row ``i`` of ``g`` adds into row ``idx[i]``.
+    # np.add.at over one flat index per element takes numpy's fast 1-d path;
+    # rows sharing an index still add up in gather order
+    buf = np.zeros((n_rows,) + g.shape[1:], dtype=g.dtype)
+    if g.ndim == 1:
+        np.add.at(buf, idx, g)
+        return buf
+    n_col = g.shape[1]
+    flat = idx[:, None] * n_col + np.arange(n_col)
+    np.add.at(buf.reshape(-1), flat.ravel(), g.ravel())
+    return buf
+
+
 def take_rows(table, idx):
     """Gather rows ``table[idx[i]]`` (embedding lookup). ``idx`` is an int array."""
     idx = np.asarray(idx)
     if table.ndim != 2 or idx.ndim != 1:
         raise ShapeError(f"take_rows: need 2-d table and 1-d idx, got {table.shape}")
     out = table.data[idx]
+    rows = np.arange(table.shape[0])[idx]  # negative indices made positive
+    return _finish(
+        out, "take_rows", (table,), lambda g: (_scatter_rows(g, rows, table.shape[0]),)
+    )
 
-    def bw(g):
-        # np.add.at over one flat index per element takes numpy's fast 1-d
-        # path; rows sharing an index still add up in batch order
-        n_rows, n_col = table.shape
-        flat = np.arange(n_rows)[idx][:, None] * n_col + np.arange(n_col)
-        buf = np.zeros(table.size, dtype=g.dtype)
-        np.add.at(buf, flat.ravel(), g.ravel())
-        return (buf.reshape(table.shape),)
 
-    return _finish(out, "take_rows", (table,), bw)
+def gather_rows(tensors, idx):
+    """Gather rows ``t[idx]`` of several 1-d or 2-d tensors that share their
+    leading axis, as one record with one output per tensor. Backward
+    scatter-adds each output's cotangent into the rows it came from, so rows
+    gathered more than once add up (as in ``take_rows``)."""
+    tensors = tuple(tensors)
+    idx = np.asarray(idx)
+    if (
+        idx.ndim != 1
+        or len({t.shape[:1] for t in tensors}) != 1
+        or any(t.ndim not in (1, 2) for t in tensors)
+    ):
+        raise ShapeError(
+            f"gather_rows: index {idx.shape} for shapes {[t.shape for t in tensors]}"
+        )
+    n_rows = tensors[0].shape[0]
+    rows = np.arange(n_rows)[idx]  # also checks the range
+
+    def bw(gs):
+        return tuple(None if g is None else _scatter_rows(g, rows, n_rows) for g in gs)
+
+    return _finish_many(tuple(t.data[rows] for t in tensors), "gather_rows", tensors, bw)
 
 
 def take_last(x, idx):
@@ -633,7 +665,7 @@ def _pop_grad(table, t):
     return None if entry is None else entry[1]
 
 
-def backward(tape, loss):
+def backward(tape, loss, wrt=None):
     """Accumulate d(loss)/d(leaf) for every leaf tensor recorded on ``tape``.
 
     ``loss`` must be a 0-d tensor produced while ``tape`` was active. A
@@ -641,12 +673,18 @@ def backward(tape, loss):
     them, so the table only ever holds what backward still needs, and the
     result has entries for leaves alone: intermediate tensors and the loss
     itself read zero. Tensors with no path to the loss have no entry either.
+    ``wrt``, if given, is the leaves whose gradients are wanted (say, the
+    parameters): a cotangent reaching any other leaf (a constant such as a
+    zero initial state, an embedded input or an advantage) is dropped on
+    arrival, so that leaf reads zero and has no entry.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got {loss.shape}")
     if id(loss) not in tape._out_ids:
         raise DiffError("backward: loss was not produced on this tape")
     table = {id(loss): (loss, np.ones((), dtype=loss.dtype))}
+    keep = None if wrt is None else {id(t) for t in wrt}
+    outs = tape._out_ids
     for out, inputs, bw in reversed(tape._nodes):
         if isinstance(out, tuple):
             g = tuple(_pop_grad(table, o) for o in out)
@@ -661,6 +699,8 @@ def backward(tape, loss):
             if gi is None:
                 continue
             key = id(t)
+            if keep is not None and key not in keep and key not in outs:
+                continue
             acc = table.get(key)
             table[key] = (t, gi if acc is None else acc[1] + gi)
     return Gradients(table)

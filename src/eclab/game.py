@@ -214,6 +214,7 @@ def play_batch(sender, receiver, meanings, config, rng, baseline, beta=0.0, bran
     use_prior = config.beta_mode == "rewo"
     if use_prior and not receiver.has_prior:
         raise GameError("beta_mode 'rewo' needs a receiver built with a prior head")
+    params = joint_parameters(sender, receiver)
     with Tape() as tape:
         state = sender.encode(meanings)
         emitted = sender.emit(state, mode="sample", rng=rng)
@@ -242,8 +243,7 @@ def play_batch(sender, receiver, meanings, config, rng, baseline, beta=0.0, bran
                 "non-finite loss",
                 details=_diagnose(log_r, emitted.log_probs, log_p, beta),
             )
-        grads = backward(tape, loss)
-    params = joint_parameters(sender, receiver)
+        grads = backward(tape, loss, wrt=params.values())
     grad_table = {name: grads[t] for name, t in params.items()}
     lengths = emitted.batch.lengths
     stats = StepStats(

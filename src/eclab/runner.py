@@ -223,20 +223,28 @@ def _json_value(x):
 
 
 # Peak-memory model of one training step: a fixed base plus, per batch item,
-# the tape's saved activations. Calibrated on single ``eclab run`` processes
-# of exp1-dyck-k4 (hidden 512, float32), which peaked at 753, 1352 and
-# 5079 MB at batch 1024, 2048 and 8192 (~0.6 MB per item); the model gives
-# 771, 1392 and 5116 MB.
+# the tape's saved activations, weighed apart for a message step (sender and
+# receiver) and a Dyck step (sender's encoder and receiver's decoder).
+# Calibrated on single ``eclab run`` processes (hidden 512, float32) of a
+# receiver that encoded every row: exp1-dyck-k4 (l_max 8) peaked at 753, 1352
+# and 5079 MB at batch 1024, 2048 and 8192, and exp1-dyck-k1 (l_max 18) at
+# 1086 and 2022 MB at batch 1024 and 2048; the model gives 771, 1392 and
+# 5116, and 1091 and 2032 MB. The receiver now runs once per distinct message
+# prefix and copies its carried state only where prefixes branch, which keeps
+# its tape below that receiver's, so the model stays an upper bound.
 BASE_MB = 150.0
-TAPE_VALUES_PER_UNIT_STEP = 9.7  # saved values per hidden unit and unrolled step
+VALUES_PER_MESSAGE_STEP = 11.4  # saved values per hidden unit and unrolled step
+VALUES_PER_DYCK_STEP = 8.0
 
 
 def estimate_peak_mb(config, itemsize=4):
     """Estimated peak RSS (MB) of a run of ``config`` with ``itemsize``-byte
     floats: the sender and receiver unroll ``max_len`` steps each, and on Dyck
     meanings the sender's encoder and the receiver's decoder ``l_max`` more."""
-    steps = 2 * config.max_len + (2 * config.l_max if config.space == "dyck" else 0)
-    per_item = TAPE_VALUES_PER_UNIT_STEP * config.hidden * steps * itemsize
+    values = VALUES_PER_MESSAGE_STEP * 2 * config.max_len
+    if config.space == "dyck":
+        values += VALUES_PER_DYCK_STEP * 2 * config.l_max
+    per_item = values * config.hidden * itemsize
     return BASE_MB + config.batch_size * per_item / 2**20
 
 

@@ -7,17 +7,20 @@ from eclab import diffengine as de
 from eclab.agents import (
     EOS,
     AgentError,
+    EncodeResult,
     LstmCell,
     Message,
     MessageBatch,
     MissingPriorError,
     Receiver,
     Sender,
+    StepTrace,
     Strategy,
     as_message_batch,
 )
-from eclab.diffengine import Tape, backward, grad_check, kink_margin, tensor
+from eclab.diffengine import Tape, Tensor, backward, grad_check, kink_margin, tensor
 from eclab.meanings import encode_meaning, enumerate_attr_val, enumerate_dyck
+from eclab.neural_stack import StackDirectives, StackState, stack_step
 
 
 def attr_space():
@@ -564,3 +567,161 @@ def test_truncated_message_has_no_eos_term():
         step = r.prior_step(enc.reads[t]).data[0]
         expect += step[full.symbols[0, t]]
     assert lp_full == pytest.approx(expect, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# prefix-shared encode against a row-level reference
+
+
+def row_encode(r, batch, strategy, rng=None):
+    """The receiver's encode run once per row (no prefix sharing): the
+    reference ``Receiver.encode`` must agree with."""
+    strategy = Strategy.parse(strategy)
+    n, t_max = batch.symbols.shape
+    h, c, read = (de.zeros((n, r.hidden), dtype=r.dtype) for _ in range(3))
+    stack = StackState.empty(r.hidden, batch=n, dtype=r.dtype)
+    reads, trace = [read], []
+    ones = Tensor._wrap(np.ones(n, dtype=r.dtype))
+    frozen_draws = None
+    if strategy is Strategy.RANDOM_BRANCHING and r.random_resample == "per_message":
+        frozen_draws = r._random_directives(rng, n)
+    for t in range(t_max):
+        alive = t < batch.lengths
+        x = r.emb(batch.symbols[:, t])
+        h, c = r.cell.step(de.concat([x, read]), h, c, alive)
+        v = de.tanh(r.to_value(h))
+        if strategy is Strategy.LEARNED:
+            u = de.mul(de.sigmoid(r.to_u(h)), r.k_u)
+            d = de.mul(de.sigmoid(r.to_d(h)), r.k_d)
+            rr = de.mul(de.sigmoid(r.to_r(h)), r.k_r)
+        elif strategy is Strategy.LEFT_BRANCHING:
+            u = d = rr = ones
+        elif frozen_draws is not None:
+            u, d, rr = frozen_draws
+        else:
+            u, d, rr = r._random_directives(rng, n)
+        stack, read = stack_step(
+            stack, StackDirectives(v=v, u=u, d=d, r=rr), alive=alive, prev_read=read
+        )
+        reads.append(read)
+        trace.append(StepTrace(push_value=v, read=read, u=u, d=d, r=rr))
+    return EncodeResult(h, c, reads, stack, trace)
+
+
+# duplicates, shared prefixes, finished rows next to running ones, a message
+# cut off at max_len and a lone EOS
+SHARED_SEQS = [
+    (1, 2, 1, 0), (1, 2, 1, 0), (1, 2, 0), (2, 0), (1, 2, 1, 2, 1),
+    (0,), (1, 2, 2, 0), (2, 0), (1, 1, 2, 1, 2), (1, 2, 1, 2, 0),
+]
+ENCODE_CASES = [
+    ("learned", "per_step"), ("left", "per_step"), ("random", "per_step"), ("random", "per_message"),
+]
+
+
+def _encode_outputs(enc):
+    out = [enc.final_h, enc.final_c, *enc.reads]
+    for tr in enc.trace:
+        out += [tr.push_value, tr.read, tr.u, tr.d, tr.r]
+    return out
+
+
+def _encode_grads(r, encode):
+    # gradients of every parameter under a loss that reads every output
+    with Tape() as tape:
+        enc = encode()
+        outs = _encode_outputs(enc)
+        rng = np.random.default_rng(17)
+        loss = None
+        for o in outs:
+            term = de.reduce_sum(de.mul(o, tensor(rng.normal(size=o.shape), dtype=np.float64)))
+            loss = term if loss is None else de.add(loss, term)
+    g = backward(tape, loss)
+    return enc, {name: g[p] for name, p in r.named_parameters().items()}
+
+
+@pytest.mark.parametrize("strategy,resample", ENCODE_CASES)
+def test_prefix_shared_encode_matches_row_encode(strategy, resample):
+    sp = attr_space()
+    r = spread_params(small_receiver(sp, seed=4, max_len=5, random_resample=resample))
+    batch = msgs_batch(SHARED_SEQS, max_len=5)
+    enc, got = _encode_grads(
+        r, lambda: r.encode(batch, strategy, rng=np.random.default_rng(8), want_trace=True)
+    )
+    ref, want = _encode_grads(r, lambda: row_encode(r, batch, strategy, np.random.default_rng(8)))
+    for a, b in zip(_encode_outputs(enc), _encode_outputs(ref), strict=True):
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
+    for name, g in want.items():
+        np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-12 * max(1.0, np.abs(g).max()))
+    # the same stack program: equal depth after the same prunes
+    assert enc.stack.depth == ref.stack.depth
+
+
+def test_random_draws_are_unchanged_by_node_sharing():
+    sp = attr_space()
+    batch = msgs_batch(SHARED_SEQS, max_len=5)
+    for resample in ("per_step", "per_message"):
+        r = small_receiver(sp, max_len=5, random_resample=resample)
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        enc = r.encode(batch, "random", rng=rng_a, want_trace=True)
+        ref = row_encode(r, batch, "random", rng_b)
+        for tr, tr_ref in zip(enc.trace, ref.trace, strict=True):
+            for a, b in ((tr.u, tr_ref.u), (tr.d, tr_ref.d), (tr.r, tr_ref.r)):
+                np.testing.assert_array_equal(a.data, b.data)
+        assert rng_a.random() == rng_b.random()  # the same number of draws
+
+
+def test_encode_runs_one_node_per_distinct_prefix():
+    sp = attr_space()
+    r = small_receiver(sp, max_len=5)
+    batch = msgs_batch(SHARED_SEQS, max_len=5)
+    n, vocab = len(batch), r.vocab
+    for strategy in ("learned", "left"):
+        enc = r.encode(batch, strategy)
+        for t, node in enumerate(enc.nodes):
+            # EOS-padded prefixes up to t, with finished rows marked
+            prefixes = {
+                (tuple(batch.symbols[b, : t + 1]), bool(t < batch.lengths[b])) for b in range(n)
+            }
+            assert node.max() + 1 == len(prefixes) <= min(vocab ** (t + 1), n)
+            # rows share a node exactly when they share a prefix
+            for a in range(n):
+                for b in range(n):
+                    same = np.array_equal(batch.symbols[a, : t + 1], batch.symbols[b, : t + 1])
+                    assert (node[a] == node[b]) == same
+        assert enc.stack.batch == enc.nodes[-1].max() + 1
+    enc = r.encode(batch, "random", rng=np.random.default_rng(0))
+    assert all(np.array_equal(node, np.arange(n)) for node in enc.nodes)
+
+
+def test_frozen_nodes_keep_the_row_level_kink_margin():
+    # a finished row pushes a zero-strength entry and then pops it: a kink at
+    # exactly 0 that the row-level program reports too
+    sp = attr_space()
+    r = small_receiver(sp, max_len=5)
+    batch = msgs_batch([(1, 0), (1, 2, 1, 2, 0), (1, 2, 1, 2, 0)], max_len=5)
+    x0 = r.named_parameters()["to_u.w"]
+
+    def program(encode):
+        def f(x):
+            r.set_parameters({"to_u.w": x})
+            return de.reduce_sum(encode().final_h)
+
+        return f
+
+    got = kink_margin(program(lambda: r.encode(batch, "learned")), x0)
+    want = kink_margin(program(lambda: row_encode(r, batch, "learned")), x0)
+    assert got == want == 0.0
+
+
+def test_greedy_decode_once_per_final_node_decodes_every_row():
+    batch = msgs_batch(SHARED_SEQS, max_len=5)
+    rd = spread_params(small_receiver(enumerate_dyck(2, 8), seed=3, max_len=5))
+    enc = rd.encode(batch, "learned")
+    assert enc.nodes[-1].max() + 1 < len(batch)  # duplicates share a node
+    assert rd.greedy_decode(enc) == unmasked_greedy_decode(rd, enc)
+    ra = spread_params(small_receiver(attr_space(), seed=3, max_len=5))
+    enc = ra.encode(batch, "learned")
+    picks = [head(enc.final_h).data.argmax(axis=1) for head in ra.heads]
+    assert ra.greedy_decode(enc) == [tuple(int(p[b]) for p in picks) for b in range(len(batch))]

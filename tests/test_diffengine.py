@@ -109,6 +109,95 @@ def test_intermediates_and_loss_have_no_gradient_entry():
     np.testing.assert_array_equal(g[x], (1.0 - z.data**2) * 2.0 * x.data)
 
 
+def test_wrt_drops_constant_leaves():
+    # a constant leaf's cotangent is dropped on arrival: it reads zero and has
+    # no entry, while the wanted leaf's gradient is unchanged
+    w = f64([0.5, -1.5, 2.0])
+    const = f64([3.0, 1.0, -2.0])
+    with Tape() as tape:
+        loss = de.reduce_sum(de.mul(de.tanh(de.mul(w, const)), const))
+    full = backward(tape, loss)
+    only_w = backward(tape, loss, wrt=[w])
+    assert const in full and const not in only_w
+    np.testing.assert_array_equal(only_w[const], np.zeros(3))
+    np.testing.assert_array_equal(only_w[w], full[w])
+
+
+def test_play_batch_keeps_no_constant_leaf_entries(monkeypatch):
+    from eclab import game
+    from eclab.meanings import enumerate_attr_val
+
+    seen = []
+    real = game.backward
+
+    def spy(*args, **kwargs):
+        g = real(*args, **kwargs)
+        seen.append(g)
+        return g
+
+    monkeypatch.setattr(game, "backward", spy)
+    space = enumerate_attr_val(2, 3)
+    config = game.GameConfig(hidden=8, embedding=4, vocab=3, max_len=3, beta_mode="rewo")
+    sender, receiver = game.build_agents(space, config, np.random.default_rng(0), np.float64)
+    game.play_batch(
+        sender, receiver, space.meanings, config, np.random.default_rng(1),
+        game.BaselineState(value=0.0), beta=0.5,
+    )
+    params = game.joint_parameters(sender, receiver)
+    assert {id(t) for t, _ in seen[0]._table.values()} <= {id(t) for t in params.values()}
+
+
+def test_gather_rows_is_one_record_that_scatter_adds():
+    rng = np.random.default_rng(61)
+    a = f64(rng.normal(size=(4, 3)))
+    s = f64(rng.normal(size=4))
+    idx = np.array([2, 0, 2, 3, 2])
+    ga, gs = rng.normal(size=(5, 3)), rng.normal(size=5)
+    with Tape() as tape:
+        out_a, out_s = de.gather_rows((a, s), idx)
+        loss = de.add(
+            de.reduce_sum(de.mul(out_a, f64(ga))), de.reduce_sum(de.mul(out_s, f64(gs)))
+        )
+    assert isinstance(tape._nodes[0][0], tuple) and len(tape) == 6  # one record, two outputs
+    np.testing.assert_array_equal(out_a.data, a.data[idx])
+    np.testing.assert_array_equal(out_s.data, s.data[idx])
+    grads = backward(tape, loss)
+    want_a, want_s = np.zeros((4, 3)), np.zeros(4)
+    np.add.at(want_a, idx, ga)
+    np.add.at(want_s, idx, gs)
+    np.testing.assert_array_equal(grads[a], want_a)  # row 1 is gathered by none
+    np.testing.assert_array_equal(grads[s], want_s)
+
+
+def test_gather_rows_backward_from_one_output_and_grad_check():
+    rng = np.random.default_rng(67)
+    a, b = f64(rng.normal(size=(3, 2))), f64(rng.normal(size=3))
+    idx = np.array([1, 1, 0, 2, 1])
+    with Tape() as tape:
+        _, out_b = de.gather_rows((a, b), idx)
+        loss = de.reduce_sum(out_b)
+    grads = backward(tape, loss)
+    assert a not in grads
+    np.testing.assert_array_equal(grads[b], [1.0, 3.0, 1.0])
+    w = f64(rng.normal(size=(5, 2)))
+    f = lambda x: de.reduce_sum(de.mul(de.tanh(de.gather_rows((x,), idx)[0]), w))
+    assert grad_check(f, a) < 1e-8
+
+
+def test_gather_rows_rejects_bad_shapes():
+    a, b = f64(np.zeros((3, 2))), f64(np.zeros(4))
+    with pytest.raises(ShapeError, match="gather_rows"):
+        de.gather_rows((a, b), np.array([0]))
+    with pytest.raises(ShapeError, match="gather_rows"):
+        de.gather_rows((a,), np.array([[0]]))
+    with pytest.raises(ShapeError, match="gather_rows"):
+        de.gather_rows((f64(np.zeros((2, 2, 2))),), np.array([0]))
+    with pytest.raises(ShapeError, match="gather_rows"):
+        de.gather_rows((), np.array([0]))
+    with pytest.raises(IndexError):
+        de.gather_rows((a,), np.array([3]))
+
+
 def _tensors_reachable_from(obj, depth):
     found, frontier = [], [obj]
     for _ in range(depth):
@@ -147,8 +236,9 @@ class _EveryEntry:
         return np.zeros(t.shape, dtype=t.dtype) if g is None else np.asarray(g, dtype=t.dtype)
 
 
-def _backward_keeping_every_entry(tape, loss):
-    # backward as it was before cotangents were released: table.get, never pop
+def _backward_keeping_every_entry(tape, loss, wrt=None):
+    # backward as it was before cotangents were released: table.get, never pop,
+    # and an entry for every leaf whatever ``wrt`` asks for
     table = {id(loss): np.ones((), dtype=loss.dtype)}
     for out, inputs, bw in reversed(tape._nodes):
         if isinstance(out, tuple):

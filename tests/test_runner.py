@@ -245,6 +245,24 @@ def test_peak_estimate_follows_the_calibration():
     assert estimate_peak_mb(replace(attr, l_max=30)) == estimate_peak_mb(attr)
 
 
+def test_peak_estimate_weighs_dyck_steps_apart():
+    # exp1-dyck-k1 (l_max 18) measured 1086 and 2022 MB at batch 1024 and 2048
+    k1 = resolve_preset("exp1-dyck-k1")
+    per_item = estimate_peak_mb(replace(k1, batch_size=2048)) - estimate_peak_mb(
+        replace(k1, batch_size=1024)
+    )
+    assert 0.89 <= per_item / 1024 <= 0.94  # measured 0.914 MB per item
+    # the estimate stays above every peak it was calibrated on
+    measured = {
+        ("exp1-dyck-k4", 1024): 753, ("exp1-dyck-k4", 2048): 1352,
+        ("exp1-dyck-k4", 8192): 5079, ("exp1-dyck-k1", 1024): 1086,
+        ("exp1-dyck-k1", 2048): 2022,
+    }
+    for (preset, batch), peak in measured.items():
+        estimate = estimate_peak_mb(replace(resolve_preset(preset), batch_size=batch))
+        assert peak < estimate < 1.05 * peak, (preset, batch)
+
+
 def test_preflight_refuses_a_run_that_does_not_fit(tmp_path, monkeypatch):
     monkeypatch.setattr(runner_module, "available_memory_mb", lambda: 100.0)
     result = run(tiny_config(), out_dir=tmp_path / "r")
