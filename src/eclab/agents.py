@@ -592,12 +592,9 @@ class Receiver(ParamModule):
         draws in [0, cap], fresh each step or once per message depending on
         ``random_resample``; draws come from ``rng`` and bypass the tape.
 
-        Step t runs on nodes, one per distinct message prefix up to t (a
-        finished row's prefix ends in a mark of its own, so finished rows
-        make frozen nodes). A node's state (h, c, read and stack) is gathered
-        from its parent's, and the results are gathered back to rows. The
-        random strategy keys each node by its row, as its draws differ per
-        row, so its nodes are the rows and every gather is skipped.
+        Each step runs once per distinct message prefix (see the module
+        docstring); the returned states, reads and traces are per row, and
+        ``nodes[t]`` maps each row to its node at step t.
         """
         batch = as_message_batch(messages, self.max_len, self.vocab)
         strategy = Strategy.parse(strategy)

@@ -637,7 +637,8 @@ class Gradients:
     """Gradient lookup keyed by tensor identity; absent tensors read as zero.
 
     Only leaves have entries: tensors that no record on the tape produced
-    (parameters, inputs, constants). An intermediate tensor and the loss
+    (parameters, inputs, constants; only those in ``wrt`` when ``backward``
+    was given one). An intermediate tensor and the loss
     itself read zero once ``backward`` has returned. Each entry keeps a
     reference to its tensor, so no entry outlives its tensor's ``id``.
     """
