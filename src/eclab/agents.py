@@ -503,7 +503,6 @@ class EncodeResult:
     final_h: Tensor
     final_c: Tensor
     reads: list
-    stack: StackState  # the last step's nodes' stacks
     trace: list | None = None
     nodes: list | None = None  # per step, the [B] node index of each row
 
@@ -653,7 +652,7 @@ class Receiver(ParamModule):
             if want_trace:
                 trace.append(StepTrace(*_to_rows(node, v, read, u, d, r)))
         final_h, final_c = _to_rows(node, h, c)
-        return EncodeResult(final_h, final_c, reads, stack, trace, nodes)
+        return EncodeResult(final_h, final_c, reads, trace, nodes)
 
     def reconstruct_logprob(self, enc, meanings):
         """log R(meaning | final state), [B] on the active tape."""

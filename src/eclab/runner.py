@@ -224,17 +224,19 @@ def _json_value(x):
 
 # Peak-memory model of one training step: a fixed base plus, per batch item,
 # the tape's saved activations, weighed apart for a message step (sender and
-# receiver) and a Dyck step (sender's encoder and receiver's decoder).
-# Calibrated on single ``eclab run`` processes (hidden 512, float32) of a
-# receiver that encoded every row: exp1-dyck-k4 (l_max 8) peaked at 753, 1352
-# and 5079 MB at batch 1024, 2048 and 8192, and exp1-dyck-k1 (l_max 18) at
-# 1086 and 2022 MB at batch 1024 and 2048; the model gives 771, 1392 and
-# 5116, and 1091 and 2032 MB. The receiver now runs once per distinct message
-# prefix and copies its carried state only where prefixes branch, which keeps
-# its tape below that receiver's, so the model stays an upper bound.
-BASE_MB = 150.0
-VALUES_PER_MESSAGE_STEP = 11.4  # saved values per hidden unit and unrolled step
-VALUES_PER_DYCK_STEP = 8.0
+# receiver) and a Dyck step (sender's encoder and receiver's decoder). The
+# receiver's share depends on how many message prefixes the batch shares, and
+# the tape grows with message length, so the model is calibrated on the least
+# favourable batches: every message max_len long, each symbol drawn uniformly
+# from the content symbols (12% of row-steps are distinct prefixes at batch
+# 8192, against 7% for fresh agents, which peak 10-29% lower). Single
+# ``eclab run`` processes (hidden 512, float32) peaked at 748, 1306 and
+# 4509 MB for exp1-dyck-k4 at batch 1024, 2048 and 8192, at 1082 and 1970 MB
+# for exp1-dyck-k1 at 1024 and 2048, and at 405, 661, 1105 and 1910 MB for
+# exp2-attrval-4x8 at 1024 to 8192; the model is 0.5-8% above each.
+BASE_MB = 205.0
+VALUES_PER_MESSAGE_STEP = 7.2  # saved values per hidden unit and unrolled step
+VALUES_PER_DYCK_STEP = 10.1
 
 
 def estimate_peak_mb(config, itemsize=4):

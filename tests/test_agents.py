@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from eclab import agents as agents_module
 from eclab import diffengine as de
 from eclab.agents import (
     EOS,
@@ -573,9 +574,10 @@ def test_truncated_message_has_no_eos_term():
 # prefix-shared encode against a row-level reference
 
 
-def row_encode(r, batch, strategy, rng=None):
+def row_encode(r, batch, strategy, rng=None, depths=None):
     """The receiver's encode run once per row (no prefix sharing): the
-    reference ``Receiver.encode`` must agree with."""
+    reference ``Receiver.encode`` must agree with. ``depths``, if given,
+    collects the stack depth after each step."""
     strategy = Strategy.parse(strategy)
     n, t_max = batch.symbols.shape
     h, c, read = (de.zeros((n, r.hidden), dtype=r.dtype) for _ in range(3))
@@ -603,9 +605,11 @@ def row_encode(r, batch, strategy, rng=None):
         stack, read = stack_step(
             stack, StackDirectives(v=v, u=u, d=d, r=rr), alive=alive, prev_read=read
         )
+        if depths is not None:
+            depths.append(stack.depth)
         reads.append(read)
         trace.append(StepTrace(push_value=v, read=read, u=u, d=d, r=rr))
-    return EncodeResult(h, c, reads, stack, trace)
+    return EncodeResult(h, c, reads, trace)
 
 
 # duplicates, shared prefixes, finished rows next to running ones, a message
@@ -626,6 +630,19 @@ def _encode_outputs(enc):
     return out
 
 
+def _record_stacks(monkeypatch):
+    # the (depth, batch) of the stack after each of the receiver's steps
+    seen = []
+
+    def recording(state, directives, **kw):
+        state, read = stack_step(state, directives, **kw)
+        seen.append((state.depth, state.batch))
+        return state, read
+
+    monkeypatch.setattr(agents_module, "stack_step", recording)
+    return seen
+
+
 def _encode_grads(r, encode):
     # gradients of every parameter under a loss that reads every output
     with Tape() as tape:
@@ -641,21 +658,24 @@ def _encode_grads(r, encode):
 
 
 @pytest.mark.parametrize("strategy,resample", ENCODE_CASES)
-def test_prefix_shared_encode_matches_row_encode(strategy, resample):
+def test_prefix_shared_encode_matches_row_encode(strategy, resample, monkeypatch):
     sp = attr_space()
     r = spread_params(small_receiver(sp, seed=4, max_len=5, random_resample=resample))
     batch = msgs_batch(SHARED_SEQS, max_len=5)
+    stacks, ref_depths = _record_stacks(monkeypatch), []
     enc, got = _encode_grads(
         r, lambda: r.encode(batch, strategy, rng=np.random.default_rng(8), want_trace=True)
     )
-    ref, want = _encode_grads(r, lambda: row_encode(r, batch, strategy, np.random.default_rng(8)))
+    ref, want = _encode_grads(
+        r, lambda: row_encode(r, batch, strategy, np.random.default_rng(8), ref_depths)
+    )
     for a, b in zip(_encode_outputs(enc), _encode_outputs(ref), strict=True):
         assert a.shape == b.shape
         np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
     for name, g in want.items():
         np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-12 * max(1.0, np.abs(g).max()))
-    # the same stack program: equal depth after the same prunes
-    assert enc.stack.depth == ref.stack.depth
+    # the same stack program: equal depth after the same prunes, every step
+    assert [depth for depth, _ in stacks] == ref_depths
 
 
 def test_random_draws_are_unchanged_by_node_sharing():
@@ -672,12 +692,14 @@ def test_random_draws_are_unchanged_by_node_sharing():
         assert rng_a.random() == rng_b.random()  # the same number of draws
 
 
-def test_encode_runs_one_node_per_distinct_prefix():
+def test_encode_runs_one_node_per_distinct_prefix(monkeypatch):
+    stacks = _record_stacks(monkeypatch)
     sp = attr_space()
     r = small_receiver(sp, max_len=5)
     batch = msgs_batch(SHARED_SEQS, max_len=5)
     n, vocab = len(batch), r.vocab
     for strategy in ("learned", "left"):
+        stacks.clear()
         enc = r.encode(batch, strategy)
         for t, node in enumerate(enc.nodes):
             # EOS-padded prefixes up to t, with finished rows marked
@@ -690,7 +712,8 @@ def test_encode_runs_one_node_per_distinct_prefix():
                 for b in range(n):
                     same = np.array_equal(batch.symbols[a, : t + 1], batch.symbols[b, : t + 1])
                     assert (node[a] == node[b]) == same
-        assert enc.stack.batch == enc.nodes[-1].max() + 1
+        # the stack runs on the nodes
+        assert [width for _, width in stacks] == [node.max() + 1 for node in enc.nodes]
     enc = r.encode(batch, "random", rng=np.random.default_rng(0))
     assert all(np.array_equal(node, np.arange(n)) for node in enc.nodes)
 
