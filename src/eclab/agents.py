@@ -28,10 +28,10 @@ random strategy draws per row, so it keys each node by its row: its nodes
 are the rows and no gather runs.
 
 One decoding loop, ``_unroll``, serves the sender's emission and scoring and
-the Dyck receiver's teacher-forced log-likelihood and greedy decoding; one
-masked step-sum, ``_masked_sum``, adds up per-step terms (the only place that
-uses constant 0/1 row masks). Meanings enter as tuples and are turned into
-int rows by ``MeaningSpace.rows``.
+the Dyck receiver's teacher-forced log-likelihood and greedy decoding. Each of
+log S with entropy H, log R and the prior's log P is one
+``diffengine.categorical`` record over per-step logits. Meanings enter as
+tuples and are turned into int rows by ``MeaningSpace.rows``.
 """
 
 from __future__ import annotations
@@ -92,36 +92,28 @@ class ParamModule:
     _params: tuple = ()
     _subs: tuple = ()
 
-    def named_parameters(self, prefix=""):
-        out = {}
+    def _walk(self, prefix):
+        # (owner, attribute, flat name) of every parameter, own ones first, then
+        # each sub-module's (list items by index): one order for both views
         for name in self._params:
-            out[prefix + name] = getattr(self, name)
+            yield self, name, prefix + name
         for name in self._subs:
             sub = getattr(self, name)
-            if sub is None:
-                continue
             if isinstance(sub, (list, tuple)):
                 for i, item in enumerate(sub):
-                    out.update(item.named_parameters(f"{prefix}{name}.{i}."))
-            else:
-                out.update(sub.named_parameters(f"{prefix}{name}."))
-        return out
+                    yield from item._walk(f"{prefix}{name}.{i}.")
+            elif sub is not None:
+                yield from sub._walk(f"{prefix}{name}.")
+
+    def named_parameters(self, prefix=""):
+        return {key: getattr(owner, name) for owner, name, key in self._walk(prefix)}
 
     def set_parameters(self, table, prefix=""):
         """Rebind parameters from ``table`` (missing keys are left alone)."""
-        for name in self._params:
-            t = table.get(prefix + name)
+        for owner, name, key in self._walk(prefix):
+            t = table.get(key)
             if t is not None:
-                setattr(self, name, t)
-        for name in self._subs:
-            sub = getattr(self, name)
-            if sub is None:
-                continue
-            if isinstance(sub, (list, tuple)):
-                for i, item in enumerate(sub):
-                    item.set_parameters(table, f"{prefix}{name}.{i}.")
-            else:
-                sub.set_parameters(table, f"{prefix}{name}.")
+                setattr(owner, name, t)
 
 
 def _glorot(rng, n_in, n_out, dtype):
@@ -137,8 +129,7 @@ class Linear(ParamModule):
         self.b = de.zeros(n_out, dtype=dtype)
 
     def __call__(self, x):
-        y = de.matmul(x, self.W)
-        return de.add_bias(y, self.b) if x.ndim == 2 else de.add(y, self.b)
+        return de.add_bias(de.matmul(x, self.W), self.b)
 
 
 class ScalarHead(ParamModule):
@@ -194,53 +185,34 @@ def _tile_rows(vec, n):
     return de.add_bias(de.zeros((n, vec.shape[0]), dtype=vec.dtype), vec)
 
 
-def _row_mask(alive, dtype):
-    """Constant 0/1 [B] tensor: 1 on rows whose item is still running."""
-    return Tensor._wrap(alive.astype(dtype))
-
-
-def _masked_sum(terms, alive):
-    """Sum over steps of the [B] ``terms``, where step t counts only on the
-    rows ``alive[:, t]`` marks as running. Terms are added in step order."""
-    total = None
-    for t, term in enumerate(terms):
-        if not alive[:, t].all():
-            term = de.mul(term, _row_mask(alive[:, t], term.dtype))
-        total = term if total is None else de.add(total, term)
-    return total
-
-
 def _unroll(cell, emb, out, state, steps, stop, next_symbol):
     """The decoding loop of the sender and of the Dyck decoder.
 
     Step t feeds the previous symbol (zeros at t = 0) to ``cell``, projects
-    ``h`` with ``out`` and picks with ``next_symbol(t, logits, logp) -> [B]
+    ``h`` with ``out`` and picks with ``next_symbol(t, logits array) -> [B]
     ints``. A row that picked ``stop`` is frozen and repeats ``stop``; the
     loop ends after ``steps`` steps or once every row has stopped. Returns
     int symbols [B, T], the bool [B, T] mask of rows still running at each
-    step (their ``stop`` step included), and the per-step [B, V] logits and
-    log-probs.
+    step (their ``stop`` step included) and the T [B, V] logit tensors.
     """
     h, c = state
     n = h.shape[0]
     alive = np.ones(n, dtype=bool)
     x = de.zeros((n, emb.table.shape[1]), dtype=h.dtype)
-    symbols, alives, logits, logps = [], [], [], []
+    symbols, alives, logits = [], [], []
     for t in range(steps):
         if t > 0:
             x = emb(symbols[-1])
         h, c = cell.step(x, h, c, alive)
         z = out(h)
-        logp = de.log_softmax(z)
-        sym = np.where(alive, next_symbol(t, z.data, logp.data), stop)
+        sym = np.where(alive, next_symbol(t, z.data), stop)
         symbols.append(sym)
         alives.append(alive)
         logits.append(z)
-        logps.append(logp)
         alive = alive & (sym != stop)
         if not alive.any():
             break
-    return np.stack(symbols, axis=1), np.stack(alives, axis=1), logits, logps
+    return np.stack(symbols, axis=1), np.stack(alives, axis=1), logits
 
 
 def _sample_rows(p, rng):
@@ -437,22 +409,14 @@ class Sender(ParamModule):
         if mode == "sample":
             if rng is None:
                 raise AgentError("sampling emission needs an rng")
-            pick = lambda t, z, logp: _sample_rows(np.exp(logp), rng)
+            pick = lambda t, z: _sample_rows(np.exp(de.log_softmax_array(z)[0]), rng)
         elif mode == "greedy":
-            pick = lambda t, z, logp: logp.argmax(axis=1)
+            pick = lambda t, z: de.log_softmax_array(z)[0].argmax(axis=1)
         else:
             raise AgentError(f"unknown emission mode {mode!r}")
-        symbols, alive, logits, logps = self._unroll(state, pick)
-        picked, ents = [], []
-        for t, (z, logp) in enumerate(zip(logits, logps)):
-            picked.append(de.take_last(logp, symbols[:, t]))
-            ents.append(de.mul(de.sum_last(de.mul(de.softmax(z), logp)), -1.0))
+        symbols, alive, logits = self._unroll(state, pick)
         return EmitResult(
-            MessageBatch(symbols, alive.sum(axis=1)),
-            _masked_sum(picked, alive),
-            _masked_sum(ents, alive),
-            np.stack([p.data for p in picked], axis=1),
-            np.stack([e.data for e in ents], axis=1),
+            MessageBatch(symbols, alive.sum(axis=1)), *de.categorical(logits, symbols, alive)
         )
 
     def score(self, state, messages):
@@ -461,9 +425,8 @@ class Sender(ParamModule):
         n = state[0].shape[0]
         if len(batch) != n:
             raise AgentError(f"scored {len(batch)} messages against {n} states")
-        symbols, alive, _, logps = self._unroll(state, lambda t, z, logp: batch.symbols[:, t])
-        terms = [de.take_last(logp, symbols[:, t]) for t, logp in enumerate(logps)]
-        return _masked_sum(terms, alive)
+        symbols, alive, logits = self._unroll(state, lambda t, z: batch.symbols[:, t])
+        return de.categorical(logits, symbols, alive)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -655,36 +618,29 @@ class Receiver(ParamModule):
         return EncodeResult(final_h, final_c, reads, trace, nodes)
 
     def reconstruct_logprob(self, enc, meanings):
-        """log R(meaning | final state), [B] on the active tape."""
+        """log R(meaning | final state), [B] on the active tape: one step per
+        attribute head, or the Dyck decoder teacher-forced on a word, then END."""
         n = enc.final_h.shape[0]
         if len(meanings) != n:
             raise AgentError(f"got {len(meanings)} meanings for {n} encodings")
         ints, lengths = self.space.rows(meanings)
         if self.space.kind == "attr_val":
-            total = None
-            for a, head in enumerate(self.heads):
-                lp = de.log_softmax(head(enc.final_h))
-                term = de.take_last(lp, ints[:, a])
-                total = term if total is None else de.add(total, term)
-            return total
-        return self._dyck_logprob(enc, ints, lengths)
+            logits = [head(enc.final_h) for head in self.heads]
+            symbols, alive = ints, np.ones(ints.shape, dtype=bool)
+        else:
+            t_tot = int(lengths.max()) + 1
+            tokens = np.pad(ints[:, : t_tot - 1], ((0, 0), (0, 1)))
+            targets = np.where(np.arange(t_tot) < lengths[:, None], tokens, 2 * self.space.k)
+            symbols, alive, logits = self._dyck_decode(
+                (enc.final_h, enc.final_c), t_tot, lambda t, z: targets[:, t]
+            )
+        return de.categorical(logits, symbols, alive)[0]
 
     def _dyck_decode(self, state, steps, next_symbol):
         return _unroll(
             self.dec_cell, self.dec_emb, self.dec_out,
             state, steps, 2 * self.space.k, next_symbol,
         )
-
-    def _dyck_logprob(self, enc, tokens, lengths):
-        # teacher-forced: every word scores its tokens, then END
-        t_tot = int(lengths.max()) + 1
-        tokens = np.pad(tokens[:, : t_tot - 1], ((0, 0), (0, 1)))
-        targets = np.where(np.arange(t_tot) < lengths[:, None], tokens, 2 * self.space.k)
-        symbols, alive, _, logps = self._dyck_decode(
-            (enc.final_h, enc.final_c), t_tot, lambda t, z, logp: targets[:, t]
-        )
-        terms = [de.take_last(logp, symbols[:, t]) for t, logp in enumerate(logps)]
-        return _masked_sum(terms, alive)
 
     def greedy_decode(self, enc):
         """Most-likely meaning per item under the reconstruction heads.
@@ -704,19 +660,22 @@ class Receiver(ParamModule):
             return [()] * n
         else:
             c = Tensor._wrap(enc.final_c.data[first])
-            symbols, alive, _, _ = self._dyck_decode(
-                (h, c), self.space.l_max, lambda t, z, logp: z.argmax(axis=1)
+            symbols, alive, _ = self._dyck_decode(
+                (h, c), self.space.l_max, lambda t, z: z.argmax(axis=1)
             )
             # a word is its symbols up to, not including, END
             sizes = (alive & (symbols != 2 * self.space.k)).sum(axis=1)
             words = [tuple(w[:m]) for w, m in zip(symbols.tolist(), sizes.tolist())]
         return [words[i] for i in node.tolist()]
 
-    def prior_step(self, read_prev):
-        """Log P(next symbol | previous read), [B, vocab]."""
+    def _prior_logits(self, read_prev):
         if not self.has_prior:
             raise MissingPriorError("this receiver was built without a prior head")
-        return de.log_softmax(self.prior_out(read_prev))
+        return self.prior_out(read_prev)
+
+    def prior_step(self, read_prev):
+        """Log P(next symbol | previous read), [B, vocab]."""
+        return de.log_softmax(self._prior_logits(read_prev))
 
     def message_log_prior(self, messages, reads):
         """log P(message) = sum of per-position priors, [B] on the tape.
@@ -729,7 +688,6 @@ class Receiver(ParamModule):
         n, t_max = batch.symbols.shape
         if len(reads) < t_max:
             raise AgentError(f"need {t_max} reads, got {len(reads)}")
-        terms = [
-            de.take_last(self.prior_step(reads[t]), batch.symbols[:, t]) for t in range(t_max)
-        ]
-        return _masked_sum(terms, np.arange(t_max) < batch.lengths[:, None])
+        logits = [self._prior_logits(reads[t]) for t in range(t_max)]
+        alive = np.arange(t_max) < batch.lengths[:, None]
+        return de.categorical(logits, batch.symbols, alive)[0]

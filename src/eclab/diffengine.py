@@ -11,8 +11,9 @@ metrics) fast.
 A record's ``out`` may also be a tuple of tensors (a fused op with several
 outputs). Its backward then receives a tuple with one cotangent per output,
 ``None`` for an output the loss does not reach, and runs as soon as any
-output has a cotangent. ``lstm_cell`` is such an op: one LSTM step, with its
-row freeze, as a single record with a hand-written backward.
+output has a cotangent. The fused ops ``lstm_cell`` (one LSTM step, with its
+row freeze) and ``categorical`` (the summed log-likelihood and entropy of T
+draws) are such ops: a single record with a hand-written backward.
 
 Shape discipline is explicit: the binary ops (``add``, ``sub``, ``mul``,
 ``maximum``, ``minimum``, all through one helper) accept equal shapes, a 0-d
@@ -569,6 +570,57 @@ def lstm_cell(x, h, c, W, b, alive=None):
     return _finish_many((h2, c2), "lstm_cell", (x, h, c, W, b), bw)
 
 
+def categorical(logits, symbols, alive):
+    """Log-probability and entropy of T categorical draws, as one record.
+
+    ``logits`` is T tensors [B, V], ``symbols`` the [B, T] int draws and
+    ``alive`` the [B, T] bool mask of the steps that count. Returns [B] tensors
+    ``logp`` and ``entropy`` summed over live steps in step order, and the
+    unmasked per-step terms as [B, T] arrays. The arithmetic is that of
+    log_softmax/take_last/softmax/mul/sum_last and a 0/1 mask, bit for bit."""
+    logits, symbols, alive = tuple(logits), np.asarray(symbols), np.asarray(alive, bool)
+    shape = logits[0].shape if logits else ()
+    if len(shape) != 2 or not symbols.shape == alive.shape == (shape[0], len(logits)) or any(
+        z.shape != shape or z.dtype != logits[0].dtype for z in logits
+    ):
+        raise ShapeError(
+            f"categorical: logits {[z.shape for z in logits]}, symbols {symbols.shape}"
+            f" and alive {alive.shape} do not fit"
+        )
+    rows = np.arange(shape[0])
+    masks = alive.T.astype(logits[0].dtype)  # a 1.0 leaves a term's bits alone
+    parts = [log_softmax_array(z.data) for z in logits]
+    logps = [logp for logp, _, _ in parts]
+    probs = [e / s for _, e, s in parts]
+    picks = [logp[rows, sym] for logp, sym in zip(logps, symbols.T)]
+    ents = [(p * logp).sum(axis=-1) * -1.0 for p, logp in zip(probs, logps)]
+
+    def total(terms):
+        terms = [t * m for t, m in zip(terms, masks)]
+        return sum(terms[1:], terms[0])  # in step order, as the composite adds
+
+    def bw(gs):
+        dzs = []
+        for logp, p, mask, sym in zip(logps, probs, masks, symbols.T):
+            g_logp, g_ent = (None if g is None else g * mask for g in gs)
+            dlogp = dz = None
+            if g_ent is not None:
+                g = np.broadcast_to(np.expand_dims(g_ent * -1.0, -1), logp.shape)
+                dp = g * logp
+                dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+                dlogp = g * p
+            if g_logp is not None:
+                buf = np.zeros(logp.shape, dtype=g_logp.dtype)
+                buf[rows, sym] = g_logp
+                dlogp = buf if dlogp is None else dlogp + buf
+            dls = dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True)
+            dzs.append(dls if dz is None else dz + dls)
+        return tuple(dzs)
+
+    logp, ent = _finish_many((total(picks), total(ents)), "categorical", logits, bw)
+    return logp, ent, np.stack(picks, axis=1), np.stack(ents, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # reductions and normalizations
 
@@ -601,12 +653,19 @@ def sum_last(x):
     return _finish(out, "sum_last", (x,), bw)
 
 
-def softmax(x):
-    """Softmax over the last axis (max-subtracted for stability)."""
-    xd = x.data
+def log_softmax_array(xd):
+    """Log-softmax of a plain array over its last axis, off the tape, with the
+    exp of the max-subtracted logits and its sums (``softmax`` is e / s)."""
     z = xd - xd.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    s = e.sum(axis=-1, keepdims=True)
+    return z - np.log(s), e, s
+
+
+def softmax(x):
+    """Softmax over the last axis (max-subtracted for stability)."""
+    _, e, s = log_softmax_array(x.data)
+    out = e / s
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -617,10 +676,7 @@ def softmax(x):
 
 def log_softmax(x):
     """Log-softmax over the last axis (max-subtracted for stability)."""
-    xd = x.data
-    z = xd - xd.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = z - lse
+    out = log_softmax_array(x.data)[0]
     sm = np.exp(out)
 
     def bw(g):

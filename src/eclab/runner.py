@@ -603,25 +603,16 @@ def report(in_dirs, out_dir):
     written = []
     for group in sorted(groups):
         by_strategy = groups[group]
+        grids = [[r.iteration for r in recs] for runs in by_strategy.values() for recs in runs]
+        if any(g != grids[0] for g in grids):
+            raise RunnerError(f"runs in group {group!r} disagree on evaluation iterations")
+        iters = grids[0]
         for metric in REPORT_METRICS:
             series = []
-            table_cols = {}
-            iters = None
             for strategy in DEFAULT_STRATEGIES:
                 runs = by_strategy.get(strategy)
                 if not runs:
                     continue
-                grids = [[r.iteration for r in recs] for recs in runs]
-                if any(g != grids[0] for g in grids):
-                    raise RunnerError(
-                        f"runs in group {group!r} disagree on evaluation iterations"
-                    )
-                if iters is None:
-                    iters = grids[0]
-                elif grids[0] != iters:
-                    raise RunnerError(
-                        f"runs in group {group!r} disagree on evaluation iterations"
-                    )
                 values = np.array(
                     [[getattr(r, metric) for r in recs] for recs in runs], dtype=float
                 )
@@ -640,7 +631,6 @@ def report(in_dirs, out_dir):
                         band_hi=hi.tolist(),
                     )
                 )
-                table_cols[strategy] = (mean, lo, hi)
             if not series:
                 continue
             base = f"{group}_{metric}"
@@ -653,16 +643,12 @@ def report(in_dirs, out_dir):
             (out / f"{base}.svg").write_text(svg)
             with open(out / f"{base}.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
-                header = ["iteration"]
-                for strategy in table_cols:
-                    header += [f"{strategy}_mean", f"{strategy}_lo", f"{strategy}_hi"]
-                writer.writerow(header)
+                writer.writerow(
+                    ["iteration"] + [f"{s.label}_{k}" for s in series for k in ("mean", "lo", "hi")]
+                )
                 for i, it in enumerate(iters):
-                    row = [it]
-                    for strategy in table_cols:
-                        mean, lo, hi = table_cols[strategy]
-                        row += [repr(float(mean[i])), repr(float(lo[i])), repr(float(hi[i]))]
-                    writer.writerow(row)
+                    cols = (c[i] for s in series for c in (s.ys, s.band_lo, s.band_hi))
+                    writer.writerow([it] + [repr(float(v)) for v in cols])
             written += [str(out / f"{base}.svg"), str(out / f"{base}.csv")]
     if not written:
         raise RunnerError("nothing to plot (no kept runs with finite values)")

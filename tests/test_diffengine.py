@@ -776,3 +776,109 @@ def test_lstm_cell_rejects_bad_shapes():
         de.lstm_cell(**args, alive=np.ones(3, dtype=bool))
     with pytest.raises(ShapeError, match="dtype"):
         de.lstm_cell(**dict(args, b=tensor(np.zeros(20), dtype=np.float32)))
+
+
+# ---------------------------------------------------------------------------
+# categorical
+
+
+def categorical_inputs(rng, dtype=np.float64, dead_at_start=False):
+    # 5 rows, 3 steps over 4 symbols; rows end at different steps
+    logits = [tensor(rng.standard_normal((5, 4)), dtype=dtype) for _ in range(3)]
+    symbols = rng.integers(0, 4, size=(5, 3))
+    alive = np.arange(3) < np.array([3, 1, 2, 3, 0 if dead_at_start else 1])[:, None]
+    return logits, symbols, alive
+
+
+def composite_categorical(logits, symbols, alive):
+    """What ``categorical`` fuses: per step log_softmax/take_last and
+    softmax/mul/sum_last, a 0/1 mask on each step with a dead row, added up in
+    step order. Also returns the unmasked per-step terms."""
+    logp = ent = None
+    steps = []
+    for t, z in enumerate(logits):
+        lp = de.log_softmax(z)
+        terms = [de.take_last(lp, symbols[:, t])]
+        terms.append(de.mul(de.sum_last(de.mul(de.softmax(z), lp)), -1.0))
+        steps.append([term.data for term in terms])
+        if not alive[:, t].all():
+            mask = Tensor._wrap(alive[:, t].astype(z.dtype))
+            terms = [de.mul(term, mask) for term in terms]
+        logp = terms[0] if logp is None else de.add(logp, terms[0])
+        ent = terms[1] if ent is None else de.add(ent, terms[1])
+    step_logp, step_ent = (np.stack(s, axis=1) for s in zip(*steps))
+    return logp, ent, step_logp, step_ent
+
+
+def categorical_loss(logp, ent, w, which):
+    parts = {"logp": logp, "entropy": ent}
+    terms = [de.reduce_sum(de.mul(parts[k], w)) for k in ("logp", "entropy") if which in (k, "both")]
+    return terms[0] if len(terms) == 1 else de.add(terms[0], de.mul(terms[1], 0.3))
+
+
+@pytest.mark.parametrize("which", ["both", "logp", "entropy"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dead_at_start", [False, True])
+def test_categorical_matches_the_composite_bit_for_bit(which, dtype, dead_at_start):
+    rng = np.random.default_rng([7, int(dead_at_start)])
+    logits, symbols, alive = categorical_inputs(rng, dtype, dead_at_start)
+    w = tensor(rng.standard_normal(5), dtype=dtype)
+    got = []
+    for op in (de.categorical, composite_categorical):
+        with Tape() as tape:
+            logp, ent, step_logp, step_ent = op(logits, symbols, alive)
+            loss = categorical_loss(logp, ent, w, which)
+        grads = backward(tape, loss)
+        arrays = [logp.data, ent.data, step_logp, step_ent] + [grads[z] for z in logits]
+        got.append([(a.dtype, a.shape, a.tobytes()) for a in arrays])
+    assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("which", ["both", "logp", "entropy"])
+def test_grad_check_categorical(which):
+    rng = np.random.default_rng(59)
+    logits, symbols, alive = categorical_inputs(rng)
+    w = f64(rng.standard_normal(5))
+    for k in range(len(logits)):
+
+        def f(x):
+            logp, ent, _, _ = de.categorical(logits[:k] + [x] + logits[k + 1 :], symbols, alive)
+            return categorical_loss(logp, ent, w, which)
+
+        assert grad_check(f, logits[k]) < 1e-6, k
+
+
+def test_categorical_is_one_tape_node():
+    logits, symbols, alive = categorical_inputs(np.random.default_rng(61))
+    with Tape() as tape:
+        de.categorical(logits, symbols, alive)
+    assert len(tape) == 1
+
+
+def test_categorical_rejects_bad_shapes():
+    logits, symbols, alive = categorical_inputs(np.random.default_rng(67))
+    bad = [
+        ([], symbols[:, :0], alive[:, :0]),
+        (logits[:2], symbols, alive),
+        (logits[:2] + [f64(np.zeros((5, 3)))], symbols, alive),
+        (logits[:2] + [tensor(logits[2].data, dtype=np.float32)], symbols, alive),
+        ([f64(np.zeros(4))] * 3, symbols, alive),
+        (logits, symbols[:4], alive),
+        (logits, symbols, alive[:, :2]),
+    ]
+    for args in bad:
+        with pytest.raises(ShapeError, match="categorical"):
+            de.categorical(*args)
+
+
+def test_debug_flag_names_categorical():
+    logits, symbols, alive = categorical_inputs(np.random.default_rng(71))
+    poisoned = np.array(logits[1].data)
+    poisoned[2, 0] = np.nan
+    logits[1] = f64(poisoned)
+    de.DEBUG_FINITE = True
+    try:
+        with pytest.raises(NonFiniteError, match="of categorical"):
+            de.categorical(logits, symbols, alive)
+    finally:
+        de.DEBUG_FINITE = False

@@ -458,3 +458,11 @@ def test_report_skips_excluded_runs(tmp_path):
     assert svg.count("<polyline") == 1
     with pytest.raises(RunnerError, match="nothing to plot"):
         report([tmp_path / "drop"], tmp_path / "rep2")
+
+
+@pytest.mark.parametrize("other_strategy", ["learned", "left"], ids=["within", "across"])
+def test_report_rejects_runs_on_different_evaluation_grids(tmp_path, other_strategy):
+    run(tiny_config(iterations=2, eval_every=1), out_dir=tmp_path / "a")
+    run(tiny_config(iterations=2, eval_every=2, strategy=other_strategy), out_dir=tmp_path / "b")
+    with pytest.raises(RunnerError, match="disagree on evaluation iterations"):
+        report([tmp_path / "a", tmp_path / "b"], tmp_path / "rep")
