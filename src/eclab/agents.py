@@ -16,16 +16,16 @@ running each item on its own). The LSTM cells and ``stack_step`` take the
 bool ``alive`` mask directly: a frozen row keeps its h and c, pops and pushes
 nothing and keeps its last read, inside the fused op.
 
-The receiver's state after step t depends only on the message prefix up to
-t (for the learned and left strategies), so ``Receiver.encode`` runs each
-step on *nodes*, one per distinct EOS-padded prefix, rather than on rows:
-step t has at most min(V^(t+1), B) of them for vocabulary V and batch B.
-Rows whose message has ended stay as frozen nodes (``alive`` False), so
-pruning and kink margins see the same program as a row-level encode. A
-node's carried state is gathered from its parent's by ``gather_rows``, and
-the outputs (final state, reads, traces) are gathered back to rows. The
-random strategy draws per row, so it keys each node by its row: its nodes
-are the rows and no gather runs.
+An LSTM's state after step t depends only on the token prefix up to t, so
+both token LSTMs, the sender's Dyck encoder (``TokenSeqEncoder``) and the
+receiver (``Receiver.encode``, learned and left strategies), run each step
+on *nodes*, one per distinct prefix, rather than on rows: step t has at most
+min(S^(t+1), B) of them for S symbols and batch B, built by the one helper
+``_prefix_nodes``. Rows whose sequence has ended stay as frozen nodes
+(``alive`` False), so pruning and kink margins see the same program as a
+row-level encode. A node's state is gathered from its parent's by
+``gather_rows`` and the outputs go back to rows by ``_to_rows``. The random
+strategy draws per row, so its nodes are the rows and no gather runs.
 
 One decoding loop, ``_unroll``, serves the sender's emission and scoring and
 the Dyck receiver's teacher-forced log-likelihood and greedy decoding. Each of
@@ -215,6 +215,22 @@ def _unroll(cell, emb, out, state, steps, stop, next_symbol):
     return np.stack(symbols, axis=1), np.stack(alives, axis=1), logits
 
 
+def _prefix_nodes(node, symbols, alive, n_symbols):
+    """One step of the prefix-node scheme over [B] rows. A row's new node is
+    keyed by its node so far and its symbol, or the end mark ``n_symbols``
+    once its sequence has ended. Returns the [B] node of each row, the first
+    row of each node and each node's parent."""
+    key = node * (n_symbols + 1) + np.where(alive, symbols, n_symbols)
+    _, first, new = np.unique(key, return_index=True, return_inverse=True)
+    return new, first, node[first]
+
+
+def _to_rows(node, *ts):
+    """Gather node-level tensors ``ts`` to rows by the [B] ``node`` map; no
+    record when every row is its own node, in order."""
+    return ts if np.array_equal(node, np.arange(len(node))) else de.gather_rows(ts, node)
+
+
 def _sample_rows(p, rng):
     # invert the row CDFs; clip guards the float32 "probabilities sum to
     # 0.999999" edge
@@ -353,15 +369,17 @@ class TokenSeqEncoder(ParamModule):
         self.c0 = de.zeros(hidden, dtype=dtype)
 
     def __call__(self, meanings):
-        # finished rows are frozen; they gather the padding token 0
+        # nodes grow from one root; ended words stay frozen on the padding token 0
         tokens, lengths = self.space.rows(meanings)
-        n = len(lengths)
-        h = _tile_rows(self.h0, n)
-        c = _tile_rows(self.c0, n)
-        for t in range(int(lengths.max()) if n else 0):
-            x = self.emb(tokens[:, t])
-            h, c = self.cell.step(x, h, c, t < lengths)
-        return h, c
+        node = np.zeros(len(lengths), dtype=np.int64)
+        h, c = (_tile_rows(v, min(len(node), 1)) for v in (self.h0, self.c0))
+        for t in range(int(lengths.max()) if len(node) else 0):
+            alive = t < lengths
+            node, first, parent = _prefix_nodes(node, tokens[:, t], alive, 2 * self.space.k)
+            if len(first) != h.shape[0]:  # else each node's parent is itself
+                h, c = de.gather_rows((h, c), parent)
+            h, c = self.cell.step(self.emb(tokens[first, t]), h, c, alive[first])
+        return _to_rows(node, h, c)
 
 
 class Sender(ParamModule):
@@ -446,12 +464,6 @@ class StepTrace:
     u: Tensor
     d: Tensor
     r: Tensor
-
-
-def _to_rows(node, *ts):
-    """Gather node-level tensors ``ts`` to rows by the [B] ``node`` map; no
-    record when every row is its own node, in order."""
-    return ts if np.array_equal(node, np.arange(len(node))) else de.gather_rows(ts, node)
 
 
 @dataclass
@@ -567,19 +579,15 @@ class Receiver(ParamModule):
         frozen_draws = None
         if random and self.random_resample == "per_message":
             frozen_draws = self._random_directives(rng, n)
-        node = np.arange(n) if random else np.zeros(n, dtype=np.int64)
+        # random keeps every row as its own node, so no gather runs
+        node = first = parent = np.arange(n) if random else np.zeros(n, dtype=np.int64)
         reads = [de.zeros((n, self.hidden), dtype=self.dtype)]
         trace = [] if want_trace else None
         nodes = []
         for t in range(t_max):
             alive = t < batch.lengths
-            # a node per (parent node, symbol), where a finished row reads the
-            # mark ``vocab`` instead of its symbol; per row under random
-            key = node if random else node * (self.vocab + 1) + np.where(
-                alive, batch.symbols[:, t], self.vocab
-            )
-            _, first, node = np.unique(key, return_index=True, return_inverse=True)
-            parent = nodes[-1][first] if nodes else None
+            if not random:
+                node, first, parent = _prefix_nodes(node, batch.symbols[:, t], alive, self.vocab)
             nodes.append(node)
             m = len(first)
             live = alive[first]

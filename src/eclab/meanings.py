@@ -58,6 +58,8 @@ class MeaningSpace:
         or the Dyck tokens zero-padded to [B, l_max], and each meaning's
         length [B]. Raises ``MeaningError`` on a meaning not in the space."""
         idx = np.array([self.index_of(m) for m in meanings], dtype=np.int64)
+        if self._ints is None:  # an empty batch looked nothing up
+            self._build_index()
         return self._ints[idx], self._lengths[idx]
 
     def __contains__(self, meaning):

@@ -748,3 +748,84 @@ def test_greedy_decode_once_per_final_node_decodes_every_row():
     enc = ra.encode(batch, "learned")
     picks = [head(enc.final_h).data.argmax(axis=1) for head in ra.heads]
     assert ra.greedy_decode(enc) == [tuple(int(p[b]) for p in picks) for b in range(len(batch))]
+
+
+# ---------------------------------------------------------------------------
+# prefix-shared Dyck encoder against a row-level reference
+
+
+def row_token_encode(encoder, meanings):
+    """The sender's Dyck encoder run once per row (no prefix sharing): the
+    reference ``TokenSeqEncoder`` must agree with."""
+    tokens, lengths = encoder.space.rows(meanings)
+    n = len(lengths)
+    h = de.add_bias(de.zeros((n, encoder.h0.shape[0]), dtype=encoder.dtype), encoder.h0)
+    c = de.add_bias(de.zeros((n, encoder.c0.shape[0]), dtype=encoder.dtype), encoder.c0)
+    for t in range(int(lengths.max()) if n else 0):
+        h, c = encoder.cell.step(encoder.emb(tokens[:, t]), h, c, t < lengths)
+    return h, c
+
+
+# k = 2 (openers 0, 1; closers 2, 3), lengths 0 to 8: duplicates, shared
+# prefixes and words that end while longer ones sharing their prefix run on
+SHARED_WORDS = [
+    (0, 2), (0, 2), (0, 2, 0, 2), (0, 2, 0, 2, 1, 3), (0, 2, 0, 2, 1, 3, 0, 2),
+    (0, 0, 2, 2), (0, 0, 2, 2, 1, 3), (0, 1, 3, 2), (1, 3), (), (),
+    (0, 1, 3, 2, 0, 2, 1, 3), (0, 1, 3, 2, 0, 2, 1, 3), (1, 1, 3, 3),
+]
+WORD_BATCHES = {
+    "shared": SHARED_WORDS, "empty-words": [(), (), ()], "one-word": [(0, 1, 3, 2)], "none": [],
+}
+
+
+def _dyck_encoder():
+    s = small_sender(enumerate_dyck(2, 8), seed=5)
+    rng = np.random.default_rng(6)
+    for name, p in s.encoder.named_parameters().items():
+        if name in ("h0", "c0"):  # nonzero initial states, so their use shows
+            s.encoder.set_parameters({name: tensor(rng.normal(size=p.shape), dtype=np.float64)})
+    return s.encoder
+
+
+def _token_encode_grads(encoder, encode):
+    with Tape() as tape:
+        h, c = encode()
+        rng = np.random.default_rng(17)
+        loss = de.add(
+            de.reduce_sum(de.mul(h, tensor(rng.normal(size=h.shape), dtype=np.float64))),
+            de.reduce_sum(de.mul(c, tensor(rng.normal(size=c.shape), dtype=np.float64))),
+        )
+    g = backward(tape, loss)
+    return (h, c), {name: g[p] for name, p in encoder.named_parameters().items()}
+
+
+@pytest.mark.parametrize("words", WORD_BATCHES.values(), ids=WORD_BATCHES.keys())
+def test_prefix_shared_token_encoder_matches_row_encode(words):
+    encoder = _dyck_encoder()
+    got_out, got = _token_encode_grads(encoder, lambda: encoder(words))
+    want_out, want = _token_encode_grads(encoder, lambda: row_token_encode(encoder, words))
+    for a, b in zip(got_out, want_out, strict=True):
+        assert a.shape == b.shape == (len(words), encoder.h0.shape[0])
+        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
+    assert set(got) == {"h0", "c0", "emb.table", "cell.W", "cell.b"}
+    for name, g in want.items():
+        np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_token_encoder_runs_one_node_per_distinct_prefix(monkeypatch):
+    encoder = _dyck_encoder()
+    seen, step = [], encoder.cell.step
+
+    def recording(x, h, c, alive):
+        seen.append((x.shape[0], h.shape[0], int(alive.sum())))
+        return step(x, h, c, alive)
+
+    monkeypatch.setattr(encoder.cell, "step", recording)
+    encoder(SHARED_WORDS)
+    want = []
+    for t in range(max(map(len, SHARED_WORDS))):
+        prefixes = {(w[: t + 1], len(w) > t) for w in SHARED_WORDS}
+        live = sum(running for _, running in prefixes)
+        want.append((len(prefixes), len(prefixes), live))
+    assert seen == want
+    assert sum(n for n, _, _ in seen) < len(SHARED_WORDS) * len(seen)

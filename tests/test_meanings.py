@@ -81,6 +81,13 @@ def test_rows_gather_the_meanings_as_ints():
             sp.rows(ms + [(0,) * 7])
 
 
+def test_rows_of_an_empty_batch_on_a_fresh_space():
+    for sp in (enumerate_attr_val(3, 4), enumerate_dyck(2, 6)):
+        ints, lengths = sp.rows([])
+        width = sp.n_att if sp.kind == "attr_val" else sp.l_max
+        assert ints.shape == (0, width) and lengths.shape == (0,)
+
+
 def test_dyck_small_enumeration_explicit():
     sp = enumerate_dyck(1, 4)
     assert sp.meanings == [(), (0, 1), (0, 0, 1, 1), (0, 1, 0, 1)]

@@ -1,9 +1,11 @@
-"""``tools/tape_ops.py`` counts the records of one training step by op."""
+"""``tools/tape_ops.py`` counts the records of one training step, and the
+rows they hold, by op."""
 
 import importlib.util
 import pathlib
 
 from eclab import diffengine as de
+from eclab.agents import TokenSeqEncoder
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "tools" / "tape_ops.py"
 spec = importlib.util.spec_from_file_location("tape_ops", SCRIPT)
@@ -11,13 +13,54 @@ tape_ops = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tape_ops)
 
 
+def _table(capsys, preset, *sets):
+    finish, finish_many = de._finish, de._finish_many
+    assert tape_ops.main([preset, *(a for s in sets for a in ("--set", s))]) == 0
+    assert (de._finish, de._finish_many) == (finish, finish_many)
+    table = {}
+    for line in capsys.readouterr().out.splitlines():
+        op, records, rows = line.split()
+        table[op] = (int(records), int(rows))
+    assert table.pop("total") == tuple(map(sum, zip(*table.values())))
+    return table
+
+
 def test_log_likelihoods_are_categorical_records(capsys):
-    finish = de._finish
-    sets = ["batch_size=16", "hidden=16", "beta_mode=rewo"]
-    assert tape_ops.main(["smoke-attrval", *(a for s in sets for a in ("--set", s))]) == 0
-    assert de._finish is finish
-    lines = dict(line.split() for line in capsys.readouterr().out.splitlines())
-    # log S and H, log R, log P
-    assert lines["categorical"] == "3"
-    assert not {"log_softmax", "take_last", "softmax", "sum_last"} & set(lines)
-    assert int(lines["total"]) == sum(int(n) for op, n in lines.items() if op != "total")
+    table = _table(capsys, "smoke-attrval", "batch_size=16", "hidden=16", "beta_mode=rewo")
+    # log S and H, log R, log P: one record each, with a [B] first output
+    assert table["categorical"] == (3, 3 * 16)
+    assert not {"log_softmax", "take_last", "softmax", "sum_last"} & set(table)
+    # a 0-d output counts one row
+    assert table["reduce_mean"][1] == table["reduce_mean"][0]
+
+
+def _row_level_encode(self, meanings):
+    # the sender's Dyck encoder run once per row, as before prefix sharing
+    tokens, lengths = self.space.rows(meanings)
+    n = len(lengths)
+    h = de.add_bias(de.zeros((n, self.h0.shape[0]), dtype=self.dtype), self.h0)
+    c = de.add_bias(de.zeros((n, self.c0.shape[0]), dtype=self.dtype), self.c0)
+    for t in range(int(lengths.max())):
+        h, c = self.cell.step(self.emb(tokens[:, t]), h, c, t < lengths)
+    return h, c
+
+
+def test_lstm_cell_rows_drop_by_the_shared_word_prefixes(capsys, monkeypatch):
+    sets = ("batch_size=64", "hidden=16", "beta_mode=off")
+    words, encode = [], TokenSeqEncoder.__call__
+
+    def recording(self, meanings):
+        words.extend(meanings)
+        return encode(self, meanings)
+
+    monkeypatch.setattr(TokenSeqEncoder, "__call__", recording)
+    shared = _table(capsys, "smoke-dyck", *sets)
+    monkeypatch.setattr(TokenSeqEncoder, "__call__", _row_level_encode)
+    per_row = _table(capsys, "smoke-dyck", *sets)
+    assert len(words) == 64
+    steps = max(map(len, words))
+    nodes = sum(len({(w[: t + 1], len(w) > t) for w in words}) for t in range(steps))
+    # as many records, and the encoder's rows fall from 64 per step to the
+    # distinct prefixes of each step
+    assert shared["lstm_cell"][0] == per_row["lstm_cell"][0]
+    assert per_row["lstm_cell"][1] - shared["lstm_cell"][1] == 64 * steps - nodes > 0

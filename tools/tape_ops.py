@@ -1,11 +1,14 @@
-"""Count the tape records of one training step by op.
+"""Count the tape records of one training step, and the rows they hold, by op.
 
     PYTHONPATH=src python3 tools/tape_ops.py smoke-attrval [--set K=V ...]
 
 Builds the preset's agents (``--set`` overrides a RunConfig field, as for
 ``eclab run``), draws the first training batch as ``eclab run`` does, runs
-one ``game.play_batch`` in float32 and prints how many records each op put
-on its tape, most first, then the total.
+one ``game.play_batch`` in float32 and prints, per op, how many records it
+put on the tape and the summed leading-axis size of their first outputs (1
+for a 0-d output), most records first, then the totals. The rows show how
+many nodes or rows a record runs on: the ``lstm_cell`` rows of a Dyck preset
+drop when its LSTMs run once per distinct prefix, though the records do not.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from eclab.meanings import split
 
 
 def count_ops(config):
-    """``Counter`` of op name -> records on the tape of one ``play_batch``."""
+    """``Counter``s of op name -> records on the tape of one ``play_batch``,
+    and op name -> summed leading-axis size of those records' first outputs."""
     space = runner.build_space(config)
     train_idx, _ = split(space, seed=runner.stream_seed(config.seed, "split"))
     picks = runner.stream_generator(config.seed, "batch").integers(
@@ -31,18 +35,20 @@ def count_ops(config):
     sender, receiver = build_agents(
         space, config, runner.stream_generator(config.seed, "init")
     )
-    counts = collections.Counter()
+    counts, rows = collections.Counter(), collections.Counter()
     finish, finish_many = de._finish, de._finish_many
 
-    def counted(real):
+    def counted(real, many):
         def wrapper(arr, op, inputs, bw):
             if de._TAPES:
                 counts[op] += 1
+                first = arr[0] if many else arr
+                rows[op] += first.shape[0] if first.ndim else 1
             return real(arr, op, inputs, bw)
 
         return wrapper
 
-    de._finish, de._finish_many = counted(finish), counted(finish_many)
+    de._finish, de._finish_many = counted(finish, False), counted(finish_many, True)
     try:
         play_batch(
             sender,
@@ -55,7 +61,7 @@ def count_ops(config):
         )
     finally:
         de._finish, de._finish_many = finish, finish_many
-    return counts
+    return counts, rows
 
 
 def main(argv=None):
@@ -70,10 +76,10 @@ def main(argv=None):
         if not sep:
             parser.error(f"--set expects KEY=VALUE, got {item!r}")
         updates[key] = runner.coerce_field(key, raw)
-    counts = count_ops(replace(config, **updates))
+    counts, rows = count_ops(replace(config, **updates))
     for op, n in counts.most_common():
-        print(f"{op:<12} {n}")
-    print(f"{'total':<12} {sum(counts.values())}")
+        print(f"{op:<12} {n:>6} {rows[op]:>9}")
+    print(f"{'total':<12} {sum(counts.values()):>6} {sum(rows.values()):>9}")
     return 0
 
 
