@@ -224,30 +224,30 @@ def _json_value(x):
 
 # Peak-memory model of one training step: a fixed base plus, per batch item,
 # the tape's saved activations, weighed apart for a message step (sender and
-# receiver) and a Dyck step (sender's encoder and receiver's decoder). The
-# receiver's share depends on how many message prefixes the batch shares, and
-# the tape grows with message length, so the model is calibrated on the least
-# favourable batches: every message max_len long, each symbol drawn uniformly
-# from the content symbols (12% of row-steps are distinct prefixes at batch
-# 8192, against 7% for fresh agents, which peak 10-29% lower). Single
-# ``eclab run`` processes (hidden 512, float32) peaked at 748, 1306 and
-# 4509 MB for exp1-dyck-k4 at batch 1024, 2048 and 8192, at 1082 and 1970 MB
+# receiver) and a Dyck step (sender's encoder and receiver's decoder), with a
+# Dyck base as distinct word prefixes grow more slowly than the batch. It is
+# calibrated on the least favourable messages: all max_len long, each symbol
+# drawn uniformly from the content symbols (fresh agents peak 10-29% lower,
+# as the receiver runs once per distinct message prefix). Single
+# ``eclab run`` processes (hidden 512, float32) peaked at 675, 1122 and
+# 3519 MB for exp1-dyck-k4 at batch 1024, 2048 and 8192, at 900 and 1542 MB
 # for exp1-dyck-k1 at 1024 and 2048, and at 405, 661, 1105 and 1910 MB for
 # exp2-attrval-4x8 at 1024 to 8192; the model is 0.5-8% above each.
 BASE_MB = 205.0
+DYCK_BASE_MB = 90.0
 VALUES_PER_MESSAGE_STEP = 7.2  # saved values per hidden unit and unrolled step
-VALUES_PER_DYCK_STEP = 10.1
+VALUES_PER_DYCK_STEP = 6.0
 
 
 def estimate_peak_mb(config, itemsize=4):
     """Estimated peak RSS (MB) of a run of ``config`` with ``itemsize``-byte
     floats: the sender and receiver unroll ``max_len`` steps each, and on Dyck
     meanings the sender's encoder and the receiver's decoder ``l_max`` more."""
-    values = VALUES_PER_MESSAGE_STEP * 2 * config.max_len
+    values, base = VALUES_PER_MESSAGE_STEP * 2 * config.max_len, BASE_MB
     if config.space == "dyck":
         values += VALUES_PER_DYCK_STEP * 2 * config.l_max
-    per_item = values * config.hidden * itemsize
-    return BASE_MB + config.batch_size * per_item / 2**20
+        base += DYCK_BASE_MB
+    return base + config.batch_size * values * config.hidden * itemsize / 2**20
 
 
 def available_memory_mb(meminfo="/proc/meminfo"):
