@@ -228,15 +228,15 @@ def _json_value(x):
 # Dyck base as distinct word prefixes grow more slowly than the batch. It is
 # calibrated on the least favourable messages: all max_len long, each symbol
 # drawn uniformly from the content symbols (fresh agents peak 10-29% lower,
-# as the receiver runs once per distinct message prefix). Single
-# ``eclab run`` processes (hidden 512, float32) peaked at 675, 1122 and
-# 3519 MB for exp1-dyck-k4 at batch 1024, 2048 and 8192, at 900 and 1542 MB
-# for exp1-dyck-k1 at 1024 and 2048, and at 405, 661, 1105 and 1910 MB for
-# exp2-attrval-4x8 at 1024 to 8192; the model is 0.5-8% above each.
+# as the receiver runs once per distinct message prefix). ``eclab run``
+# processes (hidden 512, float32) peaked at 675, 1122 and 3519 MB for
+# exp1-dyck-k4 at batch 1024, 2048 and 8192, at 900, 1542 and 5096 MB for
+# exp1-dyck-k1, at 627, 1037 and 3203 MB for exp1-dyck-k9, and at 405 to
+# 1910 MB for exp2-attrval-4x8 at 1024 to 8192; the model is 0.5-8% above each.
 BASE_MB = 205.0
-DYCK_BASE_MB = 90.0
+DYCK_BASE_MB = 100.0
 VALUES_PER_MESSAGE_STEP = 7.2  # saved values per hidden unit and unrolled step
-VALUES_PER_DYCK_STEP = 6.0
+VALUES_PER_DYCK_STEP = 5.77
 
 
 def estimate_peak_mb(config, itemsize=4):

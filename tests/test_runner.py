@@ -235,13 +235,18 @@ def test_available_memory_reads_meminfo(tmp_path):
 # max_len long with uniformly drawn content symbols, the least prefix sharing
 # a sampled batch gets (fresh agents peak lower): ``tools/peak_rss.py python3
 # tools/spread_run.py --preset P --set batch_size=B --set iterations=2 --set
-# eval_every=2 --out DIR`` (6 iterations at batch 8192 for exp1-dyck-k4).
+# eval_every=2 --out DIR`` (at batch 8192, 6 iterations for exp1-dyck-k4 and
+# 4 for exp1-dyck-k1).
 MEASURED_PEAKS_MB = {
     ("exp1-dyck-k4", 1024): 675.4,
     ("exp1-dyck-k4", 2048): 1121.8,
     ("exp1-dyck-k4", 8192): 3518.5,
     ("exp1-dyck-k1", 1024): 899.8,
     ("exp1-dyck-k1", 2048): 1542.0,
+    ("exp1-dyck-k1", 8192): 5096.3,
+    ("exp1-dyck-k9", 1024): 627.1,
+    ("exp1-dyck-k9", 2048): 1036.8,
+    ("exp1-dyck-k9", 8192): 3203.4,
     ("exp2-attrval-4x8", 1024): 405.2,
     ("exp2-attrval-4x8", 2048): 660.8,
     ("exp2-attrval-4x8", 4096): 1104.8,
