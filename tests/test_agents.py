@@ -779,12 +779,13 @@ WORD_BATCHES = {
 
 
 def _dyck_encoder():
-    s = small_sender(enumerate_dyck(2, 8), seed=5)
+    encoder = small_sender(enumerate_dyck(2, 8), seed=5).encoder
     rng = np.random.default_rng(6)
-    for name, p in s.encoder.named_parameters().items():
-        if name in ("h0", "c0"):  # nonzero initial states, so their use shows
-            s.encoder.set_parameters({name: tensor(rng.normal(size=p.shape), dtype=np.float64)})
-    return s.encoder
+    # nonzero initial states, so their use shows
+    encoder.set_parameters(
+        {name: tensor(rng.normal(size=encoder.h0.shape), dtype=np.float64) for name in ("h0", "c0")}
+    )
+    return encoder
 
 
 def _token_encode_grads(encoder, encode):
