@@ -91,16 +91,6 @@ def _build_parser():
     return parser
 
 
-def _parse_overrides(runner, items):
-    updates = {}
-    for item in items:
-        key, sep, raw = item.partition("=")
-        if not sep:
-            raise runner.RunnerError(f"--set expects KEY=VALUE, got {item!r}")
-        updates[key] = runner.coerce_field(key, raw)
-    return updates
-
-
 def _cmd_run(runner, args):
     if args.config and args.preset:
         raise runner.RunnerError("pass either --config or --preset, not both")
@@ -111,7 +101,7 @@ def _cmd_run(runner, args):
         config = runner.resolve_preset(args.preset)
     else:
         config = runner.RunConfig()
-    updates = _parse_overrides(runner, args.overrides)
+    updates = runner.parse_overrides(args.overrides)
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.out:
@@ -140,7 +130,7 @@ def _cmd_run(runner, args):
 
 def _cmd_sweep(runner, args):
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    overrides = _parse_overrides(runner, args.overrides)
+    overrides = runner.parse_overrides(args.overrides)
     root = args.out or f"runs/{args.preset}"
     rows = runner.sweep(
         args.preset,

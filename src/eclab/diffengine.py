@@ -19,10 +19,11 @@ Shape discipline is explicit: the binary ops (``add``, ``sub``, ``mul``,
 ``maximum``, ``minimum``, all through one helper) accept equal shapes, a 0-d
 tensor on either side, or a python number as ``b`` -- nothing else, checked
 before anything is computed. A 0-d operand's cotangent is the sum over the
-output; a python number gets none. The row-wise helpers (``add_bias``,
-``scale_rows``, ``take_rows``, ``take_last``) cover the patterns that would
-otherwise need implicit broadcasting; ``gather_rows`` gathers the same rows
-of several tensors in one record.
+output; a python number gets none. ``matmul`` takes 2-d @ 2-d, 1-d @ 2-d or
+2-d @ 1-d. The row-wise helpers (``add_bias``, ``scale_rows``, ``take_last``)
+cover the patterns that would otherwise need implicit broadcasting;
+``gather_rows`` gathers the same rows of several tensors in one record, and
+``take_rows`` (an embedding lookup) is its one-table case.
 
 ``maximum``/``minimum`` use a subgradient: the selected operand receives the
 whole gradient and ties go to the first operand. ``kink_margin(f, x)``
@@ -92,11 +93,6 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=np.float32):
-        arr = np.array(data, dtype=dtype)
-        arr.setflags(write=False)
-        self.data = arr
-
     @classmethod
     def _wrap(cls, arr):
         # Takes ownership of arr without copying.
@@ -125,39 +121,12 @@ class Tensor:
     def item(self):
         return self.data.item()
 
-    def tolist(self):
-        return self.data.tolist()
-
-    def sum(self):
-        return reduce_sum(self)
-
-    def mean(self):
-        return reduce_mean(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor({self.data!r})"
 
 
 def tensor(data, dtype=np.float32):
-    return Tensor(data, dtype=dtype)
+    return Tensor._wrap(np.array(data, dtype=dtype))
 
 
 def zeros(shape, dtype=np.float32):
@@ -302,26 +271,23 @@ def log(x):
 # linear algebra / structure
 
 
+_MATMUL_BW = {
+    (2, 2): lambda ad, bd, g: (g @ bd.T, ad.T @ g),
+    (1, 2): lambda ad, bd, g: (g @ bd.T, np.outer(ad, g)),
+    (2, 1): lambda ad, bd, g: (np.outer(g, bd), g @ ad),
+}
+
+
 def matmul(a, b):
     ad, bd = a.data, b.data
-    if a.data.dtype != b.data.dtype:
+    if ad.dtype != bd.dtype:
         raise ShapeError(f"matmul: dtype mismatch {ad.dtype} vs {bd.dtype}")
-    if a.ndim == 2 and b.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
-        out = ad @ bd
-        return _finish(out, "matmul", (a, b), lambda g: (g @ bd.T, ad.T @ g))
-    if a.ndim == 1 and b.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
-        out = ad @ bd
-        return _finish(out, "matmul", (a, b), lambda g: (g @ bd.T, np.outer(ad, g)))
-    if a.ndim == 2 and b.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
-        out = ad @ bd
-        return _finish(out, "matmul", (a, b), lambda g: (np.outer(g, bd), g @ ad))
-    raise ShapeError(f"matmul: unsupported ranks {a.ndim} and {b.ndim}")
+    bw = _MATMUL_BW.get((a.ndim, b.ndim))
+    if bw is None:
+        raise ShapeError(f"matmul: unsupported ranks {a.ndim} and {b.ndim}")
+    if ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
+    return _finish(ad @ bd, "matmul", (a, b), lambda g: bw(ad, bd, g))
 
 
 def add_bias(m, v):
@@ -361,22 +327,18 @@ def _scatter_rows(g, idx, n_rows):
 
 
 def take_rows(table, idx):
-    """Gather rows ``table[idx[i]]`` (embedding lookup). ``idx`` is an int array."""
+    """Embedding lookup ``table[idx[i]]`` (int ``idx``): ``gather_rows`` of one 2-d table."""
     idx = np.asarray(idx)
     if table.ndim != 2 or idx.ndim != 1:
         raise ShapeError(f"take_rows: need 2-d table and 1-d idx, got {table.shape}")
-    out = table.data[idx]
-    rows = np.arange(table.shape[0])[idx]  # negative indices made positive
-    return _finish(
-        out, "take_rows", (table,), lambda g: (_scatter_rows(g, rows, table.shape[0]),)
-    )
+    return gather_rows((table,), idx)[0]
 
 
 def gather_rows(tensors, idx):
     """Gather rows ``t[idx]`` of several 1-d or 2-d tensors that share their
     leading axis, as one record with one output per tensor. Backward
     scatter-adds each output's cotangent into the rows it came from, so rows
-    gathered more than once add up (as in ``take_rows``)."""
+    gathered more than once add up."""
     tensors = tuple(tensors)
     idx = np.asarray(idx)
     if (
@@ -402,26 +364,19 @@ def take_last(x, idx):
         idx = np.asarray(idx)
         if idx.ndim != 1 or idx.shape[0] != x.shape[0]:
             raise ShapeError(f"take_last: index shape {idx.shape} for {x.shape}")
-        rows = np.arange(x.shape[0])
-        out = x.data[rows, idx]
+        sel = (np.arange(x.shape[0]), idx)
+    elif x.ndim == 1:
+        sel = (int(idx),)
+    else:
+        raise ShapeError(f"take_last: unsupported rank {x.ndim}")
+    out = np.asarray(x.data[sel])
 
-        def bw(g):
-            buf = np.zeros(x.shape, dtype=g.dtype)
-            buf[rows, idx] = g
-            return (buf,)
+    def bw(g):
+        buf = np.zeros(x.shape, dtype=np.asarray(g).dtype)
+        buf[sel] = g
+        return (buf,)
 
-        return _finish(out, "take_last", (x,), bw)
-    if x.ndim == 1:
-        i = int(idx)
-        out = np.asarray(x.data[i])
-
-        def bw1(g):
-            buf = np.zeros(x.shape, dtype=np.asarray(g).dtype)
-            buf[i] = g
-            return (buf,)
-
-        return _finish(out, "take_last", (x,), bw1)
-    raise ShapeError(f"take_last: unsupported rank {x.ndim}")
+    return _finish(out, "take_last", (x,), bw)
 
 
 def concat(parts):

@@ -70,6 +70,9 @@ class GameConfig:
         if self.beta_mode not in ("off", "rewo"):
             raise GameError(f"unknown beta_mode {self.beta_mode!r}")
         Strategy.parse(self.strategy)
+        for name, least in (("batch_size", 1), ("hidden", 1), ("max_len", 1), ("vocab", 2)):
+            if getattr(self, name) < least:
+                raise GameError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 def build_agents(space, config, rng, dtype=np.float32):

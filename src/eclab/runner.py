@@ -114,6 +114,17 @@ def coerce_field(name, text):
     return _COERCERS[_FIELD_TYPES[name]](text)
 
 
+def parse_overrides(items):
+    """``--set KEY=VALUE`` strings -> a dict of typed config field updates."""
+    updates = {}
+    for item in items:
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise RunnerError(f"--set expects KEY=VALUE, got {item!r}")
+        updates[key] = coerce_field(key, raw)
+    return updates
+
+
 # Full-scale settings live in the GameConfig defaults (hidden 512, batch
 # 8192, lr/L2 1e-4, entropy 0.5, beta0 1e-3, caps 2); presets add the meaning
 # space, the iteration budget and whether the KL weight is annealed. The two

@@ -47,9 +47,12 @@ def test_merge_two_records(tmp_path):
     w = bench["workloads"]["attrval-h64"]
     assert (w["attempted"], w["failed"]) == (3, 1)
     assert w["end_to_end"] == {
-        "iters_per_s": {"unit": "iter/s", "by_seed": {"1": 20.0}, "median": 20.0}
+        "iters_per_s": {
+            "unit": "iter/s", "by_seed": {"1": 20.0}, "median": 20.0, "q1": 20.0, "q3": 20.0
+        }
     }
-    assert w["per_layer"]["diffengine.tape_nodes"]["median"] == 278.0
+    nodes = w["per_layer"]["diffengine.tape_nodes"]
+    assert (nodes["q1"], nodes["median"], nodes["q3"]) == (278.0, 278.0, 278.0)
 
 
 def test_merge_takes_medians_and_splits_all_workloads():
@@ -60,6 +63,20 @@ def test_merge_takes_medians_and_splits_all_workloads():
     assert bench["workloads"]["attrval-h64"]["end_to_end"]["setup_s"]["median"] == 0.4
     assert bench["workloads"]["b"]["end_to_end"]["setup_s"]["by_seed"] == {"4": 2.0}
     assert bench["workloads"]["a"]["attempted"] == 1
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_merge_records_the_quartiles_beside_the_median(trace):
+    values = (0.30, 0.50, 0.40, 0.90, 0.35)
+    runs = [record("w", s, t, {}) for s, t in ((9, 0), (9, 1))]  # an untraced run, always
+    runs += [record("w", s, trace, {"m": (v, "s")}) for s, v in enumerate(values)]
+    entry = bench_merge.merge(runs, "q")["workloads"]["w"]["per_layer" if trace else "end_to_end"]["m"]
+    # numpy's linear percentile of 0.30, 0.35, 0.40, 0.50, 0.90 at 25 / 50 / 75 %
+    assert entry["median"] == 0.40
+    assert entry["q1"] == pytest.approx(0.35) and entry["q3"] == pytest.approx(0.50)
+    two = bench_merge.merge([record("w", s, 0, {"m": (v, "s")}) for s, v in ((1, 1.0), (2, 3.0))], "q")
+    m = two["workloads"]["w"]["end_to_end"]["m"]
+    assert (m["q1"], m["median"], m["q3"]) == (1.5, 2.0, 2.5)
 
 
 def test_merge_refuses_mixed_commits_and_no_untraced_result():

@@ -47,6 +47,14 @@ def test_run_rejects_bad_override(capsys):
     assert main(["run", "--set", "hidden", "--print-config"]) == 2
 
 
+@pytest.mark.parametrize("setting", ["batch_size=0", "hidden=0", "max_len=0", "vocab=1"])
+def test_run_rejects_impossible_sizes_before_making_the_run_directory(tmp_path, capsys, setting):
+    out = tmp_path / "r"
+    assert main(["run", "--preset", "smoke-attrval", "--out", str(out), "--set", setting]) == 2
+    assert f"error: {setting.split('=')[0]} must be >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_config_plus_preset(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text("{}")

@@ -316,6 +316,27 @@ def test_shape_error_names_op_and_shapes():
         de.add(a, tensor(np.zeros((2, 3)), dtype=np.float32))
 
 
+@pytest.mark.parametrize(
+    "a_shape,b_shape,b_dtype,match",
+    [
+        ((3,), (3,), np.float64, "unsupported ranks 1 and 1"),
+        ((), (3, 2), np.float64, "unsupported ranks 0 and 2"),
+        ((2, 3), (3, 2, 2), np.float64, "unsupported ranks 2 and 3"),
+        ((4, 3), (4, 2), np.float64, r"incompatible shapes \(4, 3\) and \(4, 2\)"),
+        ((3,), (4, 2), np.float64, r"incompatible shapes \(3,\) and \(4, 2\)"),
+        ((4, 3), (4,), np.float64, r"incompatible shapes \(4, 3\) and \(4,\)"),
+        ((2, 3), (3, 2), np.float32, "dtype mismatch float64 vs float32"),
+    ],
+    ids=["1d-1d", "0d", "3d", "inner-22", "inner-12", "inner-21", "dtype"],
+)
+def test_matmul_shape_errors(a_shape, b_shape, b_dtype, match):
+    a, b = f64(np.zeros(a_shape)), tensor(np.zeros(b_shape), dtype=b_dtype)
+    with Tape() as tape:
+        with pytest.raises(ShapeError, match="matmul: " + match):
+            de.matmul(a, b)
+    assert len(tape) == 0
+
+
 def test_debug_flag_catches_nonfinite():
     de.DEBUG_FINITE = True
     try:
@@ -384,6 +405,7 @@ SHAPED_OPS = [
     ("min_const", lambda x, c: de.minimum(x, 0.5), (6,)),
     ("matmul22", lambda x, c: de.matmul(x, c), (3, 4)),
     ("matmul12", lambda x, c: de.matmul(x, de.tanh(c)), (4,)),
+    ("matmul21", lambda x, c: de.matmul(x, de.sum_last(x)), (4, 4)),
     ("add_bias", lambda x, c: de.add_bias(x, c), (3, 4)),
     ("scale_rows", lambda x, c: de.scale_rows(x, de.sum_last(c)), (3, 4)),
     ("slice_last", lambda x, c: de.slice_last(x, 1, 3), (2, 4)),

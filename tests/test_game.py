@@ -116,6 +116,16 @@ def test_config_validation():
         tiny_config(strategy="bogus")
 
 
+@pytest.mark.parametrize(
+    "field,bad,least",
+    [("batch_size", 0, 1), ("batch_size", -3, 1), ("hidden", 0, 1), ("max_len", 0, 1), ("vocab", 1, 2)],
+)
+def test_config_rejects_impossible_sizes(field, bad, least):
+    with pytest.raises(GameError, match=f"{field} must be >= {least}, got {bad}"):
+        tiny_config(**{field: bad})
+    assert getattr(tiny_config(**{field: least}), field) == least
+
+
 # ---------------------------------------------------------------------------
 # play_batch
 

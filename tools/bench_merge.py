@@ -6,9 +6,12 @@
 Reads every ``result-*.json`` that ``perfbench/run.py`` wrote into the input
 directory; they must all come from one commit. Untraced results (``--trace
 0``) give the end-to-end metrics, traced ones (``--trace 1``) the per-layer
-metrics. Per workload, every metric keeps its value for each seed and their
-median, and the runs keep their attempted and failed counts. The machine
-facts (with the matmul peak) come from an untraced result.
+metrics. Per workload, every metric keeps its value for each seed, their
+median and their lower and upper quartiles (``q1``, ``q3``; interpolated
+linearly between seeds, as numpy's default percentile, and equal to the
+value when there is one seed), and the runs keep their attempted and failed
+counts. The machine facts (with the matmul peak) come from an untraced
+result.
 
 ``--extra`` adds numbers perfbench has no workload for: a JSON object
 ``{name: {"value": number, "unit": str, "command": str}}``, where
@@ -87,7 +90,11 @@ def merge(results, label, extra=None):
     for w in workloads.values():
         for section in ("end_to_end", "per_layer"):
             for entry in w[section].values():
-                entry["median"] = statistics.median(entry["by_seed"].values())
+                values = list(entry["by_seed"].values())
+                entry["median"] = statistics.median(values)
+                if len(values) == 1:
+                    values *= 2  # quantiles needs two points; both quartiles are the value
+                entry["q1"], _, entry["q3"] = statistics.quantiles(values, method="inclusive")
     record = {
         "label": label,
         "commit": commits.pop(),

@@ -69,14 +69,12 @@ def main(argv=None):
     parser.add_argument("preset")
     parser.add_argument("--set", dest="overrides", action="append", default=[], metavar="K=V")
     args = parser.parse_args(argv)
-    config = runner.resolve_preset(args.preset)
-    updates = {}
-    for item in args.overrides:
-        key, sep, raw = item.partition("=")
-        if not sep:
-            parser.error(f"--set expects KEY=VALUE, got {item!r}")
-        updates[key] = runner.coerce_field(key, raw)
-    counts, rows = count_ops(replace(config, **updates))
+    try:
+        updates = runner.parse_overrides(args.overrides)
+        config = replace(runner.resolve_preset(args.preset), **updates)
+    except ValueError as exc:
+        parser.error(str(exc))
+    counts, rows = count_ops(config)
     for op, n in counts.most_common():
         print(f"{op:<12} {n:>6} {rows[op]:>9}")
     print(f"{'total':<12} {sum(counts.values()):>6} {sum(rows.values()):>9}")
