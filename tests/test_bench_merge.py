@@ -68,14 +68,15 @@ def test_merge_takes_medians_and_splits_all_workloads():
 @pytest.mark.parametrize("trace", [0, 1])
 def test_merge_records_the_quartiles_beside_the_median(trace):
     values = (0.30, 0.50, 0.40, 0.90, 0.35)
-    runs = [record("w", s, t, {}) for s, t in ((9, 0), (9, 1))]  # an untraced run, always
+    runs = [record("w", 9, 0, {})]  # merge needs one untraced result
     runs += [record("w", s, trace, {"m": (v, "s")}) for s, v in enumerate(values)]
-    entry = bench_merge.merge(runs, "q")["workloads"]["w"]["per_layer" if trace else "end_to_end"]["m"]
+    section = "per_layer" if trace else "end_to_end"
+    entry = bench_merge.merge(runs, "q")["workloads"]["w"][section]["m"]
     # numpy's linear percentile of 0.30, 0.35, 0.40, 0.50, 0.90 at 25 / 50 / 75 %
     assert entry["median"] == 0.40
     assert entry["q1"] == pytest.approx(0.35) and entry["q3"] == pytest.approx(0.50)
-    two = bench_merge.merge([record("w", s, 0, {"m": (v, "s")}) for s, v in ((1, 1.0), (2, 3.0))], "q")
-    m = two["workloads"]["w"]["end_to_end"]["m"]
+    two = [record("w", s, 0, {"m": (v, "s")}) for s, v in ((1, 1.0), (2, 3.0))]
+    m = bench_merge.merge(two, "q")["workloads"]["w"]["end_to_end"]["m"]
     assert (m["q1"], m["median"], m["q3"]) == (1.5, 2.0, 2.5)
 
 

@@ -118,7 +118,13 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field,bad,least",
-    [("batch_size", 0, 1), ("batch_size", -3, 1), ("hidden", 0, 1), ("max_len", 0, 1), ("vocab", 1, 2)],
+    [
+        ("batch_size", 0, 1),
+        ("batch_size", -3, 1),
+        ("hidden", 0, 1),
+        ("max_len", 0, 1),
+        ("vocab", 1, 2),
+    ],
 )
 def test_config_rejects_impossible_sizes(field, bad, least):
     with pytest.raises(GameError, match=f"{field} must be >= {least}, got {bad}"):
