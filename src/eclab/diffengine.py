@@ -1,19 +1,20 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Ops evaluate eagerly and, when a ``Tape`` is active, append a record
-``(out, inputs, backward_fn)`` to it. Creation order on the tape is a valid
+``(outs, inputs, backward_fn)`` to it. Creation order on the tape is a valid
 topological order, so ``backward`` just walks the records in reverse and
 accumulates cotangents keyed by tensor identity, releasing each record's
 output cotangents once it has run. With no tape active the ops
 are plain numpy calls, which keeps evaluation-only code (greedy decoding,
 metrics) fast.
 
-A record's ``out`` may also be a tuple of tensors (a fused op with several
-outputs). Its backward then receives a tuple with one cotangent per output,
-``None`` for an output the loss does not reach, and runs as soon as any
-output has a cotangent. The fused ops ``lstm_cell`` (one LSTM step, with its
-row freeze) and ``categorical`` (the summed log-likelihood and entropy of T
-draws) are such ops: a single record with a hand-written backward.
+Every record has one shape: ``outs`` is a tuple of tensors, one for most ops
+and several for a fused op. ``backward_fn`` takes one cotangent per output,
+``None`` for an output the loss does not reach, runs as soon as any output
+has a cotangent, and returns one cotangent (or ``None``) per input. The fused
+ops ``lstm_cell`` (one LSTM step, with its row freeze) and ``categorical``
+(the summed log-likelihood and entropy of T draws) are single records with
+a hand-written backward.
 
 Shape discipline is explicit: the binary ops (``add``, ``sub``, ``mul``,
 ``maximum``, ``minimum``, all through one helper) accept equal shapes, a 0-d
@@ -36,6 +37,7 @@ margin is computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,11 +70,10 @@ class Tape:
     Tapes nest: ops record on the innermost active one.
     """
 
-    __slots__ = ("_nodes", "_out_ids")
+    __slots__ = ("_nodes",)
 
     def __init__(self):
         self._nodes = []
-        self._out_ids = set()
 
     def __enter__(self):
         _TAPES.append(self)
@@ -133,16 +134,6 @@ def zeros(shape, dtype=np.float32):
     return Tensor._wrap(np.zeros(shape, dtype=dtype))
 
 
-def _record(out, inputs, bw):
-    if _TAPES:
-        tape = _TAPES[-1]
-        tape._nodes.append((out, inputs, bw))
-        if isinstance(out, tuple):
-            tape._out_ids.update(id(o) for o in out)
-        else:
-            tape._out_ids.add(id(out))
-
-
 # one [margin] cell per open ``kink_margin`` call, innermost last
 _KINK_MARGINS: list[list[float]] = []
 
@@ -159,23 +150,20 @@ def _note_kink(a, b):
             cell[0] = m
 
 
-def _finish(arr, op, inputs, bw):
-    if DEBUG_FINITE and not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values in output of {op}")
-    out = Tensor._wrap(arr)
-    _record(out, inputs, bw)
-    return out
-
-
 def _finish_many(arrs, op, inputs, bw):
-    # _finish for an op with several outputs: one record, a tuple of tensors.
+    # wraps the outputs and records them, as one record, on the active tape
     if DEBUG_FINITE:
         for k, arr in enumerate(arrs):
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteError(f"non-finite values in output {k} of {op}")
-    out = tuple(Tensor._wrap(arr) for arr in arrs)
-    _record(out, inputs, bw)
-    return out
+    outs = tuple(Tensor._wrap(arr) for arr in arrs)
+    if _TAPES:
+        _TAPES[-1]._nodes.append((outs, inputs, bw))
+    return outs
+
+
+def _finish(arr, op, inputs, bw):
+    return _finish_many((arr,), op, inputs, bw)[0]
 
 
 def _binary(op, a, b, fwd):
@@ -314,13 +302,11 @@ def scale_rows(m, s):
 
 def _scatter_rows(g, idx, n_rows):
     # cotangent of a row gather: row ``i`` of ``g`` adds into row ``idx[i]``.
-    # np.add.at over one flat index per element takes numpy's fast 1-d path;
-    # rows sharing an index still add up in gather order
+    # np.add.at over one flat index per element (a 1-d ``g`` is one column)
+    # takes numpy's fast 1-d path; rows sharing an index still add up in
+    # gather order
     buf = np.zeros((n_rows,) + g.shape[1:], dtype=g.dtype)
-    if g.ndim == 1:
-        np.add.at(buf, idx, g)
-        return buf
-    n_col = g.shape[1]
+    n_col = math.prod(g.shape[1:])
     flat = idx[:, None] * n_col + np.arange(n_col)
     np.add.at(buf.reshape(-1), flat.ravel(), g.ravel())
     return buf
@@ -352,7 +338,7 @@ def gather_rows(tensors, idx):
     n_rows = tensors[0].shape[0]
     rows = np.arange(n_rows)[idx]  # also checks the range
 
-    def bw(gs):
+    def bw(*gs):
         return tuple(None if g is None else _scatter_rows(g, rows, n_rows) for g in gs)
 
     return _finish_many(tuple(t.data[rows] for t in tensors), "gather_rows", tensors, bw)
@@ -496,8 +482,7 @@ def lstm_cell(x, h, c, W, b, alive=None):
         c2 = _with_rows(c.data, c.shape, rows, c2)
     Wd = W.data
 
-    def bw(gs):
-        gh, gc = gs
+    def bw(gh, gc):
         gh_live = None if gh is None else live(gh)
         gc_live = None if gc is None else live(gc)
         dz = np.empty_like(act)
@@ -554,7 +539,7 @@ def categorical(logits, symbols, alive):
         terms = [t * m for t, m in zip(terms, masks)]
         return sum(terms[1:], terms[0])  # in step order, as the composite adds
 
-    def bw(gs):
+    def bw(*gs):
         dzs = []
         for logp, p, mask, sym in zip(logps, probs, masks, symbols.T):
             g_logp, g_ent = (None if g is None else g * mask for g in gs)
@@ -672,11 +657,6 @@ class Gradients:
         return id(t) in self._table
 
 
-def _pop_grad(table, t):
-    entry = table.pop(id(t), None)
-    return None if entry is None else entry[1]
-
-
 def backward(tape, loss, wrt=None):
     """Accumulate d(loss)/d(leaf) for every leaf tensor recorded on ``tape``.
 
@@ -692,26 +672,20 @@ def backward(tape, loss, wrt=None):
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got {loss.shape}")
-    if id(loss) not in tape._out_ids:
+    produced = {id(o) for outs, _, _ in tape._nodes for o in outs}
+    if id(loss) not in produced:
         raise DiffError("backward: loss was not produced on this tape")
     table = {id(loss): (loss, np.ones((), dtype=loss.dtype))}
     keep = None if wrt is None else {id(t) for t in wrt}
-    outs = tape._out_ids
-    for out, inputs, bw in reversed(tape._nodes):
-        if isinstance(out, tuple):
-            g = tuple(_pop_grad(table, o) for o in out)
-            if all(gi is None for gi in g):
-                continue
-        else:
-            g = _pop_grad(table, out)
-            if g is None:
-                continue
-        gs = bw(g)
-        for t, gi in zip(inputs, gs):
+    for outs, inputs, bw in reversed(tape._nodes):
+        gs = [table.pop(id(o), (None, None))[1] for o in outs]
+        if all(g is None for g in gs):
+            continue
+        for t, gi in zip(inputs, bw(*gs)):
             if gi is None:
                 continue
             key = id(t)
-            if keep is not None and key not in keep and key not in outs:
+            if keep is not None and key not in keep and key not in produced:
                 continue
             acc = table.get(key)
             table[key] = (t, gi if acc is None else acc[1] + gi)

@@ -184,7 +184,7 @@ def _transition(state, u=None, v=None, d=None, r=None, alive=None, prev_read=Non
     if push:
         inputs.append(d)
 
-    def bw(gs):
+    def bw(*gs):
         g_read, g_strengths = (gs[0], gs[1:]) if read else (None, gs)
         G = np.zeros((n_post, B), dt)  # cotangents of the pushed-to entries
         for j, g in enumerate(g_strengths):

@@ -297,41 +297,33 @@ def run(config, out_dir=None):
     non-finite loss marks the run failed in summary.json (with diagnostics)
     instead of raising, so sweeps continue past bad seeds. So does a run the
     memory preflight refuses (``memory_refusal``): it trains nothing and
-    writes no metrics.csv rows.
+    writes no metrics.csv rows. A config whose meaning space or agents
+    cannot be built raises before the run directory is made.
     """
     out = pathlib.Path(out_dir or config.out_dir or "")
     if str(out) in ("", "."):
         raise RunnerError("no output directory given (set out_dir or pass --out)")
-    out.mkdir(parents=True, exist_ok=True)
     config = replace(config, out_dir=str(out))
-    (out / "config.json").write_text(
-        json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n"
-    )
-
     deterministic = os.environ.get("ECLAB_DETERMINISTIC") == "1"
     dtype = np.float64 if deterministic else np.float32
     strategy = Strategy.parse(config.strategy)
     use_prior = config.beta_mode == "rewo"
 
-    refusal = memory_refusal(config, np.dtype(dtype).itemsize)
-    if refusal is not None:
-        return _finish_run(config, out, [], config.beta0 if use_prior else 0.0, refusal, 0.0)
-
     space = build_space(config)
     train_idx, test_idx = split(space, seed=stream_seed(config.seed, "split"))
     train = [space.meanings[i] for i in train_idx]
     test = [space.meanings[i] for i in test_idx]
+    streams = seed_streams(config.seed)
+    sender, receiver = build_agents(space, config, streams["init"], dtype=dtype)
 
-    init_rng = stream_generator(config.seed, "init")
-    batch_rng = stream_generator(config.seed, "batch")
-    sender_rng = stream_generator(config.seed, "sender")
-    branch_rng = (
-        stream_generator(config.seed, "branching")
-        if strategy is Strategy.RANDOM_BRANCHING
-        else None
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(
+        json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n"
     )
+    refusal = memory_refusal(config, np.dtype(dtype).itemsize)
+    if refusal is not None:
+        return _finish_run(config, out, [], config.beta0 if use_prior else 0.0, refusal, 0.0)
 
-    sender, receiver = build_agents(space, config, init_rng, dtype=dtype)
     params = joint_parameters(sender, receiver)
     opt = AdamState(lr=config.lr, l2=config.l2)
     baseline = BaselineState(decay=config.baseline_decay)
@@ -381,17 +373,17 @@ def run(config, out_dir=None):
 
     try:
         for iteration in range(1, config.iterations + 1):
-            picks = batch_rng.integers(0, len(train), size=config.batch_size)
+            picks = streams["batch"].integers(0, len(train), size=config.batch_size)
             batch = [train[i] for i in picks]
             stats, grads, baseline = play_batch(
                 sender,
                 receiver,
                 batch,
                 config,
-                rng=sender_rng,
+                rng=streams["sender"],
                 baseline=baseline,
                 beta=beta,
-                branch_rng=branch_rng,
+                branch_rng=streams["branching"],
             )
             params = adam_step(opt, params, grads)
             grads = None  # not kept alive through the next step's peak

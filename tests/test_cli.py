@@ -55,6 +55,28 @@ def test_run_rejects_impossible_sizes_before_making_the_run_directory(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "preset,setting",
+    [
+        ("smoke-attrval", "n_att=0"),
+        ("smoke-attrval", "n_val=1"),
+        ("smoke-attrval", "n_val=2000"),
+        ("smoke-attrval", "k_u=0"),
+        ("smoke-attrval", "random_resample=bogus"),
+        ("smoke-dyck", "k=0"),
+        ("smoke-dyck", "l_max=1"),
+    ],
+)
+def test_run_rejects_unbuildable_configs_before_making_the_run_directory(
+    tmp_path, capsys, preset, setting
+):
+    # the meaning space or the agents refuse these, not RunConfig
+    out = tmp_path / "r"
+    assert main(["run", "--preset", preset, "--out", str(out), "--set", setting]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_run_rejects_config_plus_preset(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text("{}")

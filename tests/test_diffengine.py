@@ -240,16 +240,11 @@ def _backward_keeping_every_entry(tape, loss, wrt=None):
     # backward as it was before cotangents were released: table.get, never pop,
     # and an entry for every leaf whatever ``wrt`` asks for
     table = {id(loss): np.ones((), dtype=loss.dtype)}
-    for out, inputs, bw in reversed(tape._nodes):
-        if isinstance(out, tuple):
-            g = tuple(table.get(id(o)) for o in out)
-            if all(gi is None for gi in g):
-                continue
-        else:
-            g = table.get(id(out))
-            if g is None:
-                continue
-        for t, gi in zip(inputs, bw(g)):
+    for outs, inputs, bw in reversed(tape._nodes):
+        g = [table.get(id(o)) for o in outs]
+        if all(gi is None for gi in g):
+            continue
+        for t, gi in zip(inputs, bw(*g)):
             if gi is not None:
                 acc = table.get(id(t))
                 table[id(t)] = gi if acc is None else acc + gi

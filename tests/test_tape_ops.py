@@ -14,9 +14,9 @@ spec.loader.exec_module(tape_ops)
 
 
 def _table(capsys, preset, *sets):
-    finish, finish_many = de._finish, de._finish_many
+    finish_many = de._finish_many
     assert tape_ops.main([preset, *(a for s in sets for a in ("--set", s))]) == 0
-    assert (de._finish, de._finish_many) == (finish, finish_many)
+    assert de._finish_many is finish_many
     table = {}
     for line in capsys.readouterr().out.splitlines():
         op, records, rows = line.split()

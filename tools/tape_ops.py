@@ -29,38 +29,31 @@ def count_ops(config):
     and op name -> summed leading-axis size of those records' first outputs."""
     space = runner.build_space(config)
     train_idx, _ = split(space, seed=runner.stream_seed(config.seed, "split"))
-    picks = runner.stream_generator(config.seed, "batch").integers(
-        0, len(train_idx), size=config.batch_size
-    )
-    sender, receiver = build_agents(
-        space, config, runner.stream_generator(config.seed, "init")
-    )
+    streams = runner.seed_streams(config.seed)
+    picks = streams["batch"].integers(0, len(train_idx), size=config.batch_size)
+    sender, receiver = build_agents(space, config, streams["init"])
     counts, rows = collections.Counter(), collections.Counter()
-    finish, finish_many = de._finish, de._finish_many
+    finish_many = de._finish_many
 
-    def counted(real, many):
-        def wrapper(arr, op, inputs, bw):
-            if de._TAPES:
-                counts[op] += 1
-                first = arr[0] if many else arr
-                rows[op] += first.shape[0] if first.ndim else 1
-            return real(arr, op, inputs, bw)
+    def counted(arrs, op, inputs, bw):
+        if de._TAPES:
+            counts[op] += 1
+            rows[op] += arrs[0].shape[0] if arrs[0].ndim else 1
+        return finish_many(arrs, op, inputs, bw)
 
-        return wrapper
-
-    de._finish, de._finish_many = counted(finish, False), counted(finish_many, True)
+    de._finish_many = counted
     try:
         play_batch(
             sender,
             receiver,
             [space.meanings[train_idx[i]] for i in picks],
             config,
-            rng=runner.stream_generator(config.seed, "sender"),
+            rng=streams["sender"],
             baseline=BaselineState(decay=config.baseline_decay),
-            branch_rng=runner.stream_generator(config.seed, "branching"),
+            branch_rng=streams["branching"],
         )
     finally:
-        de._finish, de._finish_many = finish, finish_many
+        de._finish_many = finish_many
     return counts, rows
 
 
