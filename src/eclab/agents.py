@@ -18,14 +18,14 @@ nothing and keeps its last read, inside the fused op.
 
 An LSTM's state after step t depends only on the token prefix up to t, so
 both token LSTMs, the sender's Dyck encoder (``TokenSeqEncoder``) and the
-receiver (``Receiver.encode``, learned and left strategies), run each step
-on *nodes*, one per distinct prefix, rather than on rows: step t has at most
-min(S^(t+1), B) of them for S symbols and batch B, built by the one helper
-``_prefix_nodes``. Rows whose sequence has ended stay as frozen nodes
-(``alive`` False), so pruning and kink margins see the same program as a
-row-level encode. A node's state is gathered from its parent's by
-``gather_rows`` and the outputs go back to rows by ``_to_rows``. The random
-strategy draws per row, so its nodes are the rows and no gather runs.
+receiver (``Receiver.encode``), run each step on *nodes*, one per distinct
+prefix, rather than on rows: step t has at most min(S^(t+1), B) of them for
+S symbols and batch B, built by the one helper ``_prefix_nodes``. Rows whose
+sequence has ended stay as frozen nodes (``alive`` False), so pruning and
+kink margins see the same program as a row-level encode. ``_to_rows``
+gathers a node's state from its parent's and the outputs back to rows. The
+random strategy draws per row, so it starts from one node per row and its
+nodes stay the rows: no gather runs.
 
 One decoding loop, ``_unroll``, serves the sender's emission and scoring and
 the Dyck receiver's teacher-forced log-likelihood and greedy decoding. Each of
@@ -225,10 +225,11 @@ def _prefix_nodes(node, symbols, alive, n_symbols):
     return new, first, node[first]
 
 
-def _to_rows(node, *ts):
-    """Gather node-level tensors ``ts`` to rows by the [B] ``node`` map; no
-    record when every row is its own node, in order."""
-    return ts if np.array_equal(node, np.arange(len(node))) else de.gather_rows(ts, node)
+def _to_rows(idx, *ts):
+    """Gather tensors ``ts`` by the int map ``idx``: a step's nodes to its rows,
+    or the last step's nodes to this step's parents. No record when ``idx``
+    is the identity (every row its own node, or no node with a second child)."""
+    return ts if np.array_equal(idx, np.arange(len(idx))) else de.gather_rows(ts, idx)
 
 
 def _sample_rows(p, rng):
@@ -376,8 +377,7 @@ class TokenSeqEncoder(ParamModule):
         for t in range(int(lengths.max()) if len(node) else 0):
             alive = t < lengths
             node, first, parent = _prefix_nodes(node, tokens[:, t], alive, 2 * self.space.k)
-            if len(first) != h.shape[0]:  # else each node's parent is itself
-                h, c = de.gather_rows((h, c), parent)
+            h, c = _to_rows(parent, h, c)
             h, c = self.cell.step(self.emb(tokens[first, t]), h, c, alive[first])
         return _to_rows(node, h, c)
 
@@ -524,7 +524,7 @@ class Receiver(ParamModule):
         self.embedding = embedding
         self.vocab = vocab
         self.max_len = max_len
-        self.k_u, self.k_d, self.k_r = (float(c) for c in caps)
+        self.k_u, self.k_d, self.k_r = self.caps = tuple(float(c) for c in caps)
         self.random_resample = random_resample
         self.dtype = np.dtype(dtype)
         self.emb = Embedding(rng, vocab, embedding, self.dtype)
@@ -553,10 +553,7 @@ class Receiver(ParamModule):
         return self.prior_out is not None
 
     def _random_directives(self, rng, n):
-        u = Tensor._wrap(rng.uniform(0.0, self.k_u, n).astype(self.dtype))
-        d = Tensor._wrap(rng.uniform(0.0, self.k_d, n).astype(self.dtype))
-        r = Tensor._wrap(rng.uniform(0.0, self.k_r, n).astype(self.dtype))
-        return u, d, r
+        return tuple(Tensor._wrap(rng.uniform(0.0, k, n).astype(self.dtype)) for k in self.caps)
 
     def encode(self, messages, strategy, rng=None, want_trace=False):
         """Consume messages with the chosen branching strategy.
@@ -579,25 +576,22 @@ class Receiver(ParamModule):
         frozen_draws = None
         if random and self.random_resample == "per_message":
             frozen_draws = self._random_directives(rng, n)
-        # random keeps every row as its own node, so no gather runs
-        node = first = parent = np.arange(n) if random else np.zeros(n, dtype=np.int64)
+        # random draws per row: one node per row, whose keys stay distinct, so no gather runs
+        node = np.arange(n) if random else np.zeros(n, dtype=np.int64)
         reads = [de.zeros((n, self.hidden), dtype=self.dtype)]
         trace = [] if want_trace else None
         nodes = []
         for t in range(t_max):
             alive = t < batch.lengths
-            if not random:
-                node, first, parent = _prefix_nodes(node, batch.symbols[:, t], alive, self.vocab)
+            node, first, parent = _prefix_nodes(node, batch.symbols[:, t], alive, self.vocab)
             nodes.append(node)
             m = len(first)
             live = alive[first]
             if t == 0:
                 h, c, read = (de.zeros((m, self.hidden), dtype=self.dtype) for _ in range(3))
                 stack = StackState.empty(self.hidden, batch=m, dtype=self.dtype)
-            elif m != stack.batch:  # else each node's parent is itself
-                h, c, read, *entries = de.gather_rows(
-                    (h, c, read, *stack.values, *stack.strengths), parent
-                )
+            else:
+                h, c, read, *entries = _to_rows(parent, h, c, read, *stack.values, *stack.strengths)
                 depth = stack.depth
                 stack = replace(
                     stack, values=tuple(entries[:depth]), strengths=tuple(entries[depth:]), batch=m
@@ -606,9 +600,8 @@ class Receiver(ParamModule):
             h, c = self.cell.step(de.concat([x, read]), h, c, live)
             v = de.tanh(self.to_value(h))
             if strategy is Strategy.LEARNED:
-                u = de.mul(de.sigmoid(self.to_u(h)), self.k_u)
-                d = de.mul(de.sigmoid(self.to_d(h)), self.k_d)
-                r = de.mul(de.sigmoid(self.to_r(h)), self.k_r)
+                heads = zip((self.to_u, self.to_d, self.to_r), self.caps)
+                u, d, r = (de.mul(de.sigmoid(head(h)), k) for head, k in heads)
             elif strategy is Strategy.LEFT_BRANCHING:
                 u = d = r = Tensor._wrap(np.ones(m, dtype=self.dtype))
             elif frozen_draws is not None:
@@ -621,7 +614,8 @@ class Receiver(ParamModule):
             )
             reads.append(_to_rows(node, read)[0])
             if want_trace:
-                trace.append(StepTrace(*_to_rows(node, v, read, u, d, r)))
+                v, u, d, r = _to_rows(node, v, u, d, r)
+                trace.append(StepTrace(v, reads[-1], u, d, r))
         final_h, final_c = _to_rows(node, h, c)
         return EncodeResult(final_h, final_c, reads, trace, nodes)
 

@@ -37,6 +37,7 @@ margin is computed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -527,38 +528,31 @@ def categorical(logits, symbols, alive):
             f"categorical: logits {[z.shape for z in logits]}, symbols {symbols.shape}"
             f" and alive {alive.shape} do not fit"
         )
-    rows = np.arange(shape[0])
+    sym = symbols.T[..., None]  # [T, B, 1]
     masks = alive.T.astype(logits[0].dtype)  # a 1.0 leaves a term's bits alone
-    parts = [log_softmax_array(z.data) for z in logits]
-    logps = [logp for logp, _, _ in parts]
-    probs = [e / s for _, e, s in parts]
-    picks = [logp[rows, sym] for logp, sym in zip(logps, symbols.T)]
-    ents = [(p * logp).sum(axis=-1) * -1.0 for p, logp in zip(probs, logps)]
+    logp, e, s = log_softmax_array(np.stack([z.data for z in logits]))
+    p = e / s
+    picks = np.take_along_axis(logp, sym, axis=-1)[..., 0]
+    ents = (p * logp).sum(axis=-1) * -1.0
 
-    def total(terms):
-        terms = [t * m for t, m in zip(terms, masks)]
-        return sum(terms[1:], terms[0])  # in step order, as the composite adds
+    def bw(g_logp, g_ent):
+        dlogp = dz = None
+        if g_ent is not None:
+            g = np.expand_dims(g_ent * masks * -1.0, -1)
+            dp = g * logp
+            dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            dlogp = g * p
+        if g_logp is not None:
+            buf = np.zeros(logp.shape, dtype=g_logp.dtype)
+            np.put_along_axis(buf, sym, np.expand_dims(g_logp * masks, -1), axis=-1)
+            dlogp = buf if dlogp is None else dlogp + buf
+        dls = dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True)
+        return tuple(dls if dz is None else dz + dls)
 
-    def bw(*gs):
-        dzs = []
-        for logp, p, mask, sym in zip(logps, probs, masks, symbols.T):
-            g_logp, g_ent = (None if g is None else g * mask for g in gs)
-            dlogp = dz = None
-            if g_ent is not None:
-                g = np.broadcast_to(np.expand_dims(g_ent * -1.0, -1), logp.shape)
-                dp = g * logp
-                dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-                dlogp = g * p
-            if g_logp is not None:
-                buf = np.zeros(logp.shape, dtype=g_logp.dtype)
-                buf[rows, sym] = g_logp
-                dlogp = buf if dlogp is None else dlogp + buf
-            dls = dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True)
-            dzs.append(dls if dz is None else dz + dls)
-        return tuple(dzs)
-
-    logp, ent = _finish_many((total(picks), total(ents)), "categorical", logits, bw)
-    return logp, ent, np.stack(picks, axis=1), np.stack(ents, axis=1)
+    # each sum runs in step order from step 0, as the composite adds (a sum
+    # over the step axis would turn a dead row's -0.0 into +0.0)
+    sums = [functools.reduce(np.add, terms * masks) for terms in (picks, ents)]
+    return (*_finish_many(sums, "categorical", logits, bw), picks.T, ents.T)
 
 
 # ---------------------------------------------------------------------------

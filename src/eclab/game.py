@@ -70,9 +70,20 @@ class GameConfig:
         if self.beta_mode not in ("off", "rewo"):
             raise GameError(f"unknown beta_mode {self.beta_mode!r}")
         Strategy.parse(self.strategy)
-        for name, least in (("batch_size", 1), ("hidden", 1), ("max_len", 1), ("vocab", 2)):
+        for name, least in (
+            ("batch_size", 1), ("hidden", 1), ("embedding", 1), ("max_len", 1), ("vocab", 2)
+        ):
             if getattr(self, name) < least:
                 raise GameError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name, ok, rule in (
+            ("lr", self.lr > 0, "> 0"),
+            ("l2", self.l2 >= 0, ">= 0"),
+            ("baseline_decay", 0 <= self.baseline_decay <= 1, "in [0, 1]"),
+            ("rewo_ema_decay", 0 <= self.rewo_ema_decay <= 1, "in [0, 1]"),
+            ("beta0", 0 < self.beta0 <= 1, "in (0, 1]"),
+        ):
+            if not ok:
+                raise GameError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 def build_agents(space, config, rng, dtype=np.float32):

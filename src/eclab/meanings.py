@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +30,8 @@ class MeaningSpace:
     n_val: int | None = None
     k: int | None = None
     l_max: int | None = None
-    _index: dict = field(default=None, repr=False, compare=False)
-    _ints: np.ndarray = field(default=None, repr=False, compare=False)
-    _lengths: np.ndarray = field(default=None, repr=False, compare=False)
 
-    def __len__(self):
-        return len(self.meanings)
-
-    def _build_index(self):
+    def __post_init__(self):
         self._index = {m: i for i, m in enumerate(self.meanings)}
         self._lengths = np.array([len(m) for m in self.meanings], dtype=np.int64)
         width = self.n_att if self.kind == "attr_val" else self.l_max
@@ -45,9 +39,10 @@ class MeaningSpace:
         for i, m in enumerate(self.meanings):
             self._ints[i, : len(m)] = m
 
+    def __len__(self):
+        return len(self.meanings)
+
     def index_of(self, meaning):
-        if self._index is None:
-            self._build_index()
         idx = self._index.get(tuple(meaning))
         if idx is None:
             raise MeaningError(f"meaning {meaning!r} is not in this space")
@@ -58,16 +53,7 @@ class MeaningSpace:
         or the Dyck tokens zero-padded to [B, l_max], and each meaning's
         length [B]. Raises ``MeaningError`` on a meaning not in the space."""
         idx = np.array([self.index_of(m) for m in meanings], dtype=np.int64)
-        if self._ints is None:  # an empty batch looked nothing up
-            self._build_index()
         return self._ints[idx], self._lengths[idx]
-
-    def __contains__(self, meaning):
-        try:
-            self.index_of(meaning)
-        except MeaningError:
-            return False
-        return True
 
 
 def enumerate_attr_val(n_att, n_val, cap=SIZE_CAP):

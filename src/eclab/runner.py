@@ -333,11 +333,10 @@ def run(config, out_dir=None):
     metrics_path = out / "metrics.csv"
     eval_at = set(_eval_points(config))
     records = []
-    last_stats = None
     error = None
     started = time.monotonic()
 
-    def evaluate(iteration):
+    def evaluate(iteration, stats):
         eval_rng = stream_generator(config.seed, f"eval/{iteration}")
         # ComAcc leaves each split's greedy messages (and, for the
         # deterministic strategies, its reads) for the log prior to reuse
@@ -362,10 +361,10 @@ def run(config, out_dir=None):
                 if use_prior
                 else math.nan
             ),
-            recon_loss=last_stats.recon_loss if last_stats else math.nan,
-            kl=last_stats.kl if last_stats else math.nan,
-            beta=last_stats.beta if last_stats else beta,
-            entropy=last_stats.entropy if last_stats else math.nan,
+            recon_loss=stats.recon_loss,
+            kl=stats.kl,
+            beta=stats.beta,
+            entropy=stats.entropy,
             wall_seconds=0.0 if deterministic else time.monotonic() - started,
         )
         records.append(rec)
@@ -388,12 +387,11 @@ def run(config, out_dir=None):
             params = adam_step(opt, params, grads)
             grads = None  # not kept alive through the next step's peak
             load_parameters(sender, receiver, params)
-            last_stats = stats
             if use_prior:
                 rewo = rewo_update(rewo, stats.recon_loss)
                 beta = rewo.beta
             if iteration in eval_at:
-                evaluate(iteration)
+                evaluate(iteration, stats)
                 if (
                     config.stop_comacc_train > 0.0
                     and records[-1].comacc_train >= config.stop_comacc_train

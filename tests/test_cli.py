@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -47,11 +48,27 @@ def test_run_rejects_bad_override(capsys):
     assert main(["run", "--set", "hidden", "--print-config"]) == 2
 
 
-@pytest.mark.parametrize("setting", ["batch_size=0", "hidden=0", "max_len=0", "vocab=1"])
+@pytest.mark.parametrize(
+    "setting", ["batch_size=0", "hidden=0", "embedding=0", "max_len=0", "vocab=1"]
+)
 def test_run_rejects_impossible_sizes_before_making_the_run_directory(tmp_path, capsys, setting):
     out = tmp_path / "r"
     assert main(["run", "--preset", "smoke-attrval", "--out", str(out), "--set", setting]) == 2
     assert f"error: {setting.split('=')[0]} must be >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["lr=-1", "lr=0", "l2=-5", "baseline_decay=2", "rewo_ema_decay=3", "beta0=0", "beta0=2"],
+)
+def test_run_rejects_out_of_range_settings_before_making_the_run_directory(
+    tmp_path, capsys, setting
+):
+    out = tmp_path / "r"
+    args = ["run", "--preset", "smoke-attrval", "--out", str(out), "--set", "beta_mode=rewo"]
+    assert main(args + ["--set", setting]) == 2
+    assert f"error: {setting.split('=')[0]} must be " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -106,6 +123,30 @@ def test_run_refused_by_the_memory_preflight_exits_1(tmp_path, capsys, monkeypat
     assert not (tmp_path / "r" / "metrics.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_run_whose_reward_goes_non_finite_exits_1_and_keeps_its_rows(
+    tmp_path, capsys, monkeypatch
+):
+    # lr = 1e30 blows the float32 parameters up; the third batch's log R overflows
+    monkeypatch.delenv("ECLAB_DETERMINISTIC", raising=False)
+    out = tmp_path / "r"
+    rc = main(
+        [
+            "run", "--preset", "smoke-attrval", "--out", str(out),
+            "--set", "hidden=8", "--set", "batch_size=8", "--set", "iterations=5",
+            "--set", "eval_every=1", "--set", "lr=1e30",
+        ]
+    )
+    assert rc == 1
+    assert "run FAILED: non-finite reward | details: {'bad_log_r': 8," in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed"] is True and summary["kept"] is False
+    assert summary["iterations_done"] == 2
+    assert summary["error"].startswith("non-finite reward | details: {'bad_log_r': 8,")
+    with open(out / "metrics.csv") as fh:
+        assert [row["iteration"] for row in csv.DictReader(fh)] == ["1", "2"]
+
+
 def test_run_from_config_file(tmp_path, capsys):
     base = main(["run", "--preset", "smoke-attrval", "--print-config"] + TINY_SETS)
     assert base == 0
@@ -137,6 +178,44 @@ def test_sweep_and_report_commands(tmp_path, capsys):
     assert rc == 0
     assert "wrote" in capsys.readouterr().out
     assert list((tmp_path / "rep").glob("*.svg"))
+
+
+def test_sweep_whose_run_raises_records_it_and_exits_1(tmp_path, capsys):
+    # a space of one meaning cannot be split, so the run raises inside the sweep
+    out = tmp_path / "sw"
+    rc = main(
+        [
+            "sweep", "--preset", "smoke-attrval", "--strategies", "learned",
+            "--seeds", "1", "--out", str(out),
+        ]
+        + TINY_SETS
+        + ["--set", "n_val=1"]  # the last --set of a key wins
+    )
+    assert rc == 1
+    assert "sweep done: 1 runs (1 failed)" in capsys.readouterr().out
+    with open(out / "aggregate.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["kind"] for r in rows] == ["run", "mean", "std"]
+    assert rows[0]["failed"] == "True" and rows[0]["kept"] == "False"
+    assert rows[0]["error"] == "MeaningError: cannot split a space of size 1"
+    assert [r["kept"] for r in rows[1:]] == ["0", "0"]
+
+
+def test_report_over_dyck_runs_names_files_by_the_dyck_space(tmp_path, capsys):
+    sets = ["--set", "hidden=8", "--set", "embedding=4", "--set", "batch_size=8"]
+    sets += ["--set", "iterations=2", "--set", "eval_every=1"]
+    rc = main(
+        ["sweep", "--preset", "smoke-dyck", "--strategies", "learned", "--seeds", "1"]
+        + ["--out", str(tmp_path / "sw")]
+        + sets
+    )
+    assert rc == 0
+    assert main(["report", "--in", str(tmp_path / "sw"), "--out", str(tmp_path / "rep")]) == 0
+    assert sorted(p.name for p in (tmp_path / "rep").iterdir()) == [
+        f"dyck-k4-lmax8_{metric}.{ext}"
+        for metric in ("comacc_test", "comacc_train")
+        for ext in ("csv", "svg")
+    ]
 
 
 def test_module_entry_point_deterministic_rerun(tmp_path, deterministic_env):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,7 @@ def test_config_validation():
         ("batch_size", 0, 1),
         ("batch_size", -3, 1),
         ("hidden", 0, 1),
+        ("embedding", 0, 1),
         ("max_len", 0, 1),
         ("vocab", 1, 2),
     ],
@@ -130,6 +132,28 @@ def test_config_rejects_impossible_sizes(field, bad, least):
     with pytest.raises(GameError, match=f"{field} must be >= {least}, got {bad}"):
         tiny_config(**{field: bad})
     assert getattr(tiny_config(**{field: least}), field) == least
+
+
+@pytest.mark.parametrize(
+    "field,bad,rule,edge",
+    [
+        ("lr", -1.0, "> 0", math.ulp(0.0)),
+        ("lr", 0.0, "> 0", math.ulp(0.0)),
+        ("lr", math.nan, "> 0", math.ulp(0.0)),
+        ("l2", -5.0, ">= 0", 0.0),
+        ("baseline_decay", 2.0, "in [0, 1]", 1.0),
+        ("baseline_decay", -0.5, "in [0, 1]", 0.0),
+        ("rewo_ema_decay", 3.0, "in [0, 1]", 1.0),
+        ("rewo_ema_decay", -0.5, "in [0, 1]", 0.0),
+        ("beta0", 0.0, "in (0, 1]", math.ulp(0.0)),
+        ("beta0", 1.5, "in (0, 1]", 1.0),
+    ],
+)
+def test_config_rejects_out_of_range_settings(field, bad, rule, edge):
+    # ``edge`` is the valid value nearest the bound that ``bad`` crosses
+    with pytest.raises(GameError, match=re.escape(f"{field} must be {rule}, got {bad}")):
+        tiny_config(**{field: bad})
+    assert getattr(tiny_config(**{field: edge}), field) == edge
 
 
 # ---------------------------------------------------------------------------
