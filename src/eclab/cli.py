@@ -1,9 +1,9 @@
 """Command-line entry points: run, preset, sweep, report.
 
 numpy (and everything that imports it) is loaded inside ``main`` so that
-``ECLAB_DETERMINISTIC=1`` can pin the BLAS thread pools to a single thread,
-and ``sweep --jobs N`` can share the CPUs among its workers, before any
-library reads its environment.
+``ECLAB_DETERMINISTIC=1`` can pin the BLAS thread pools to a single thread
+before any library reads its environment. ``sweep`` runs each of its runs as
+an ``eclab run`` child process, whose thread share ``runner.child_env`` sets.
 """
 
 from __future__ import annotations
@@ -13,33 +13,13 @@ import json
 import os
 import sys
 
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
+from . import THREAD_VARS
 
 
 def _pin_threads_if_deterministic():
     if os.environ.get("ECLAB_DETERMINISTIC") == "1":
-        for var in _THREAD_VARS:
+        for var in THREAD_VARS:
             os.environ.setdefault(var, "1")
-
-
-def _pin_threads_for_jobs(jobs):
-    """Share the CPUs among ``jobs`` sweep workers: each BLAS/OpenMP pool gets
-    ``max(1, nproc // jobs)`` threads unless the variable is already set.
-    Must run before numpy loads; the forked workers inherit the setting."""
-    if jobs > 1:
-        if hasattr(os, "sched_getaffinity"):
-            nproc = len(os.sched_getaffinity(0))
-        else:  # pragma: no cover - platforms without CPU affinity
-            nproc = os.cpu_count() or 1
-        per_job = max(1, nproc // jobs)
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, str(per_job))
 
 
 def _build_parser():
@@ -130,16 +110,9 @@ def _cmd_run(runner, args):
 
 def _cmd_sweep(runner, args):
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    overrides = runner.parse_overrides(args.overrides)
     root = args.out or f"runs/{args.preset}"
-    rows = runner.sweep(
-        args.preset,
-        strategies=strategies,
-        seeds=args.seeds,
-        jobs=args.jobs,
-        out_root=root,
-        overrides=overrides or None,
-    )
+    rows = runner.sweep(args.preset, strategies=strategies, seeds=args.seeds, jobs=args.jobs,
+                        out_root=root, overrides=runner.parse_overrides(args.overrides))
     failed = sum(1 for r in rows if r["kind"] == "run" and r["failed"])
     done = sum(1 for r in rows if r["kind"] == "run")
     print(f"sweep done: {done} runs ({failed} failed) -> {root}/aggregate.csv")
@@ -149,8 +122,6 @@ def _cmd_sweep(runner, args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     _pin_threads_if_deterministic()
-    if args.command == "sweep":
-        _pin_threads_for_jobs(args.jobs)
     from . import runner
 
     try:

@@ -4,9 +4,9 @@ A run owns a directory with three files: ``config.json`` (the fully resolved
 configuration), ``metrics.csv`` (one row per evaluation point, appended and
 flushed as the run progresses so a killed run leaves a parseable prefix) and
 ``summary.json`` (final numbers plus the kept/excluded flag). ``sweep``
-executes a strategy x seed grid of such runs and aggregates their summaries;
-``report`` turns finished run directories into SVG line charts and the plotted
-values as CSV.
+executes a strategy x seed grid of such runs, each in its own ``eclab run``
+child process, and aggregates their summaries; ``report`` turns finished run
+directories into SVG line charts and the plotted values as CSV.
 
 All randomness inside a run is drawn from named substreams derived by hashing
 ``"{master_seed}:{stream_name}"``, so individual sources (init, split, batch,
@@ -22,12 +22,14 @@ import json
 import math
 import os
 import pathlib
+import signal
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from . import THREAD_VARS
 from .agents import Strategy
 from .game import (
     BaselineState,
@@ -298,7 +300,8 @@ def run(config, out_dir=None):
     instead of raising, so sweeps continue past bad seeds. So does a run the
     memory preflight refuses (``memory_refusal``): it trains nothing and
     writes no metrics.csv rows. A config whose meaning space or agents
-    cannot be built raises before the run directory is made.
+    cannot be built raises before the run directory is made; a metrics.csv
+    that an earlier run left there is removed when config.json is written.
     """
     out = pathlib.Path(out_dir or config.out_dir or "")
     if str(out) in ("", "."):
@@ -320,6 +323,8 @@ def run(config, out_dir=None):
     (out / "config.json").write_text(
         json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n"
     )
+    metrics_path = out / "metrics.csv"
+    metrics_path.unlink(missing_ok=True)  # no rows of an earlier run in this directory
     refusal = memory_refusal(config, np.dtype(dtype).itemsize)
     if refusal is not None:
         return _finish_run(config, out, [], config.beta0 if use_prior else 0.0, refusal, 0.0)
@@ -330,7 +335,6 @@ def run(config, out_dir=None):
     rewo = RewoState.from_config(config) if use_prior else None
     beta = rewo.beta if use_prior else 0.0
 
-    metrics_path = out / "metrics.csv"
     eval_at = set(_eval_points(config))
     records = []
     error = None
@@ -435,103 +439,122 @@ def _finish_run(config, out, records, beta, error, wall_seconds):
 # ---------------------------------------------------------------------------
 # sweeps
 
-AGGREGATE_FIELDS = [
-    "preset",
-    "strategy",
-    "seed",
-    "kind",
-    "kept",
-    "failed",
-    "comacc_train",
-    "comacc_test",
-    "beta",
-    "mean_log_prior_train",
-    "mean_log_prior_test",
-    "error",
+AGGREGATE_NUMERIC = [
+    "comacc_train", "comacc_test", "beta", "mean_log_prior_train", "mean_log_prior_test"
 ]
+AGGREGATE_FIELDS = ["preset", "strategy", "seed", "kind", "kept", "failed"]
+AGGREGATE_FIELDS += [*AGGREGATE_NUMERIC, "error"]
 
 DEFAULT_STRATEGIES = ("learned", "left", "random")
 
 
-def _sweep_job(arg):
-    config_dict, out_dir = arg
-    try:
-        result = run(config_from_dict(config_dict), out_dir=out_dir)
-        return out_dir, result.summary.get("error")
-    except Exception as exc:  # a broken run must not kill the sweep
-        return out_dir, f"{type(exc).__name__}: {exc}"
+def child_env(jobs):
+    """Environment of a sweep's ``eclab run`` children: the directory holding
+    this ``eclab`` first on PYTHONPATH and, for ``jobs`` > 1, each BLAS/OpenMP
+    pool given ``max(1, nproc // jobs)`` threads unless the variable is set."""
+    env = dict(os.environ)
+    package_root = str(pathlib.Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    if jobs > 1:
+        affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS
+        nproc = len(affinity(0)) if affinity else os.cpu_count() or 1
+        for var in THREAD_VARS:
+            env.setdefault(var, str(max(1, nproc // jobs)))
+    return env
 
 
-def sweep(preset, strategies=DEFAULT_STRATEGIES, seeds=24, jobs=1, out_root=None, overrides=None):
+def _spawn(cmd, run_dir, env):
+    """Start one run's child with its output in ``child.log``; return its pid.
+    Files an earlier run left in ``run_dir`` are removed first."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("config.json", "metrics.csv", "summary.json"):
+        (run_dir / name).unlink(missing_ok=True)
+    with open(run_dir / "child.log", "wb") as log:
+        to_log = [(os.POSIX_SPAWN_DUP2, log.fileno(), fd) for fd in (1, 2)]
+        return os.posix_spawnp(cmd[0], cmd, env, file_actions=to_log)
+
+
+def _reap(config, run_dir, status):
+    """Write a failed summary.json for a child that ended without one."""
+    if (run_dir / "summary.json").exists():
+        return
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        error = f"killed by signal {-code}"
+    else:
+        lines = (run_dir / "child.log").read_text(errors="replace").splitlines()
+        error = f"exit code {code}: {lines[-1] if lines else ''}"
+    beta = config.beta0 if config.beta_mode == "rewo" else 0.0
+    _finish_run(config, run_dir, [], beta, error, 0.0)
+
+
+def sweep(preset, strategies=DEFAULT_STRATEGIES, seeds=24, jobs=1, out_root=None,
+          overrides=None, child_prefix=(sys.executable, "-m", "eclab")):
     """Run the strategy x seed grid for a preset and write aggregate.csv.
 
-    ``seeds`` is either a count (seeds 0..n-1) or an explicit list. Failed
-    runs stay in the aggregate flagged, and per-strategy mean/std rows cover
-    only kept runs. The aggregate is sorted, so it is identical for any level
-    of parallelism.
+    ``seeds`` is either a count (seeds 0..n-1) or an explicit list. Each run
+    is a child process, ``child_prefix`` followed by ``run`` and the run's
+    options, and up to ``jobs`` of them run at once. A child that ends without
+    a summary.json gets a failed one naming its exit code or signal, and the
+    other runs go on. Failed runs stay in the aggregate flagged, and
+    per-strategy mean/std rows cover only kept runs. The aggregate lists the
+    runs in grid order, so it is identical for any ``jobs``.
     """
     strategies = [Strategy.parse(s).value for s in strategies]
-    seed_list = list(range(seeds)) if isinstance(seeds, int) else [int(s) for s in seeds]
-    if not seed_list:
-        raise RunnerError("need at least one seed")
+    seed_list = sorted(range(seeds) if isinstance(seeds, int) else map(int, seeds))
+    overrides = overrides or {}
+    if jobs < 1:
+        raise RunnerError(f"jobs must be >= 1, got {jobs}")
+    if not strategies or not seed_list:
+        raise RunnerError("need at least one strategy and at least one seed")
+    if len(set(strategies)) < len(strategies) or len(set(seed_list)) < len(seed_list):
+        raise RunnerError(f"repeated strategy or seed in {strategies} x {seed_list}")
+    for key in ("seed", "strategy"):
+        if key in overrides:
+            raise RunnerError(f"cannot override {key!r}: the sweep sets it per run")
     root = pathlib.Path(out_root or f"runs/{preset}")
-    jobs_args = []
+    sets = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
+    grid = []
     for strategy in strategies:
         for seed in seed_list:
-            config = resolve_preset(preset, strategy=strategy, seed=seed, **(overrides or {}))
+            config = resolve_preset(preset, strategy=strategy, seed=seed, **overrides)
             run_dir = root / f"{preset}-{strategy}-s{seed}"
-            jobs_args.append((to_dict(config), str(run_dir)))
+            cmd = [*child_prefix, "run", "--preset", preset, "--seed", str(seed)]
+            cmd += ["--out", str(run_dir), "--set", f"strategy={strategy}", *sets]
+            grid.append((config, run_dir, cmd))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            launch_errors = dict(pool.map(_sweep_job, jobs_args))
-    else:
-        launch_errors = dict(map(_sweep_job, jobs_args))
+    env = child_env(jobs)
+    pending, running = grid[::-1], {}  # running: pid -> (config, run_dir)
+    try:
+        while pending or running:
+            if pending and len(running) < jobs:
+                config, run_dir, cmd = pending.pop()
+                running[_spawn(cmd, run_dir, env)] = (config, run_dir)
+                continue
+            pid, status, _ = os.wait4(-1, 0)
+            if pid in running:  # any other pid was not a sweep child
+                _reap(*running.pop(pid), status)
+    except BaseException:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
 
     rows = []
-    for config_dict, run_dir in jobs_args:
-        summary_path = pathlib.Path(run_dir) / "summary.json"
-        if summary_path.exists():
-            summary = json.loads(summary_path.read_text())
-        else:
-            summary = {
-                "kept": False,
-                "failed": True,
-                "error": launch_errors.get(run_dir, "missing summary.json"),
-            }
-        rows.append(
-            {
-                "preset": preset,
-                "strategy": config_dict["strategy"],
-                "seed": config_dict["seed"],
-                "kind": "run",
-                "kept": summary.get("kept", False),
-                "failed": summary.get("failed", True),
-                "comacc_train": summary.get("final_comacc_train"),
-                "comacc_test": summary.get("final_comacc_test"),
-                "beta": summary.get("final_beta"),
-                "mean_log_prior_train": summary.get("final_mean_log_prior_train"),
-                "mean_log_prior_test": summary.get("final_mean_log_prior_test"),
-                "error": summary.get("error") or "",
-            }
-        )
-    rows.sort(key=lambda r: (strategies.index(r["strategy"]), r["seed"]))
-
+    for config, run_dir, _ in grid:
+        summary = json.loads((run_dir / "summary.json").read_text())
+        rows.append(dict(
+            preset=preset, strategy=config.strategy, seed=config.seed, kind="run",
+            kept=summary["kept"], failed=summary["failed"], error=summary["error"] or "",
+            **{col: summary[f"final_{col}"] for col in AGGREGATE_NUMERIC},
+        ))
     stat_rows = []
-    numeric = ["comacc_train", "comacc_test", "beta", "mean_log_prior_train", "mean_log_prior_test"]
     for strategy in strategies:
         kept = [r for r in rows if r["strategy"] == strategy and r["kept"] and not r["failed"]]
         for kind, fn in (("mean", np.mean), ("std", np.std)):
-            stat = {
-                "preset": preset,
-                "strategy": strategy,
-                "seed": "",
-                "kind": kind,
-                "kept": len(kept),
-                "failed": "",
-                "error": "",
-            }
-            for col in numeric:
+            stat = dict(preset=preset, strategy=strategy, seed="", kind=kind, kept=len(kept),
+                        failed="", error="")
+            for col in AGGREGATE_NUMERIC:
                 vals = [r[col] for r in kept if r[col] is not None]
                 stat[col] = float(fn(vals)) if vals else None
             stat_rows.append(stat)

@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,3 +24,23 @@ def deterministic_env():
         "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
         "PYTHONPATH": os.pathsep.join(filter(None, pythonpath)),
     }
+
+
+@pytest.fixture
+def fake_child(tmp_path):
+    """Make a sweep ``child_prefix``: a script that runs ``before`` (Python
+    source, with ``out`` and ``seed`` read from its ``eclab run`` command
+    line) and then execs the real ``python -m eclab`` with its arguments."""
+
+    def make(before):
+        script = tmp_path / "fake_child.py"
+        script.write_text(
+            "import json, os, signal, sys, time\n"
+            "out = sys.argv[sys.argv.index('--out') + 1]\n"
+            "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+            f"{before}\n"
+            "os.execv(sys.executable, [sys.executable, '-m', 'eclab', *sys.argv[1:]])\n"
+        )
+        return (sys.executable, str(script))
+
+    return make

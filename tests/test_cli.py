@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from eclab import THREAD_VARS, runner
 from eclab.cli import main
 
 TINY_SETS = [
@@ -181,7 +183,7 @@ def test_sweep_and_report_commands(tmp_path, capsys):
 
 
 def test_sweep_whose_run_raises_records_it_and_exits_1(tmp_path, capsys):
-    # a space of one meaning cannot be split, so the run raises inside the sweep
+    # a space of one meaning cannot be split, so the run's child exits with code 2
     out = tmp_path / "sw"
     rc = main(
         [
@@ -197,7 +199,7 @@ def test_sweep_whose_run_raises_records_it_and_exits_1(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [r["kind"] for r in rows] == ["run", "mean", "std"]
     assert rows[0]["failed"] == "True" and rows[0]["kept"] == "False"
-    assert rows[0]["error"] == "MeaningError: cannot split a space of size 1"
+    assert rows[0]["error"] == "exit code 2: error: cannot split a space of size 1"
     assert [r["kept"] for r in rows[1:]] == ["0", "0"]
 
 
@@ -243,35 +245,80 @@ def test_module_entry_point_deterministic_rerun(tmp_path, deterministic_env):
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--jobs", "0"],
+        ["--jobs", "-3"],
+        ["--strategies", ""],
+        ["--strategies", "learned,learned", "--jobs", "2"],
+        ["--set", "seed=3"],
+        ["--set", "strategy=left"],
+    ],
+)
+def test_sweep_command_rejects_a_grid_it_cannot_run(tmp_path, capsys, args):
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--preset", "smoke-attrval", "--seeds", "1", "--out", str(out)] + args)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_module_entry_point_sweep_is_byte_identical_for_any_jobs(tmp_path, deterministic_env):
+    """python -m eclab sweep with ECLAB_DETERMINISTIC=1 writes the same files
+    with one child at a time as with two."""
+    args = [
+        sys.executable, "-m", "eclab", "sweep", "--preset", "smoke-attrval",
+        "--strategies", "learned,random", "--seeds", "2",
+    ] + TINY_SETS
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            args + ["--jobs", jobs, "--out", str(tmp_path / jobs)],
+            env=deterministic_env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in ["aggregate.csv"] + [
+        f"smoke-attrval-{strategy}-s{seed}/metrics.csv"
+        for strategy in ("learned", "random")
+        for seed in (0, 1)
+    ]:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 @pytest.fixture
 def thread_env(monkeypatch):
     """No thread variable set, and 8 CPUs to share."""
-    from eclab import cli
-
-    for var in cli._THREAD_VARS + ("ECLAB_DETERMINISTIC",):
+    for var in THREAD_VARS + ("ECLAB_DETERMINISTIC",):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    return cli
 
 
 @pytest.mark.parametrize("jobs, want", [(1, None), (3, "2"), (8, "1"), (16, "1")])
-def test_sweep_jobs_pin_threads_per_worker(thread_env, monkeypatch, jobs, want):
+def test_sweep_jobs_share_threads_per_child(thread_env, monkeypatch, jobs, want):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "5")  # set by the user: kept
-    thread_env._pin_threads_for_jobs(jobs)
-    for var in thread_env._THREAD_VARS:
+    env = runner.child_env(jobs)
+    for var in THREAD_VARS:
         expected = "5" if var == "OPENBLAS_NUM_THREADS" else want
-        assert os.environ.get(var) == expected, var
+        assert env.get(var) == expected, var
+    assert os.environ.get("OMP_NUM_THREADS") is None  # the sweep's own is left alone
 
 
-def test_sweep_command_pins_threads_before_running(thread_env, monkeypatch, capsys):
-    from eclab import runner
-
-    seen = {}
-
-    def fake_sweep(*args, **kwargs):
-        seen.update({var: os.environ.get(var) for var in thread_env._THREAD_VARS})
-        return []
-
-    monkeypatch.setattr(runner, "sweep", fake_sweep)
-    assert main(["sweep", "--preset", "smoke-attrval", "--jobs", "4"]) == 0
-    assert seen == {var: "2" for var in thread_env._THREAD_VARS}
+def test_sweep_command_gives_each_child_its_thread_share(
+    thread_env, tmp_path, monkeypatch, capsys, fake_child
+):
+    prefix = fake_child(
+        "with open(os.path.join(out, 'threads.json'), 'w') as fh:\n"
+        f"    json.dump({{var: os.environ.get(var) for var in {THREAD_VARS!r}}}, fh)"
+    )
+    monkeypatch.setattr(runner, "sweep", functools.partial(runner.sweep, child_prefix=prefix))
+    out = tmp_path / "sw"
+    rc = main(
+        ["sweep", "--preset", "smoke-attrval", "--strategies", "learned", "--seeds", "1"]
+        + ["--jobs", "4", "--out", str(out)]
+        + TINY_SETS
+    )
+    assert rc == 0
+    seen = json.loads((out / "smoke-attrval-learned-s0" / "threads.json").read_text())
+    assert seen == {var: "2" for var in THREAD_VARS}

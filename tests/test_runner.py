@@ -2,8 +2,10 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import sys
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -179,6 +181,15 @@ def test_run_writes_expected_files(tmp_path):
     assert summary["kept"] is True and summary["failed"] is False
     assert set(summary["stream_seeds"]) == set(STREAM_NAMES)
     assert summary["final_comacc_train"] == rows[-1].comacc_train
+
+
+def test_run_into_a_used_directory_starts_metrics_afresh(tmp_path):
+    run(tiny_config(seed=0), out_dir=tmp_path / "r")
+    second = run(tiny_config(seed=5), out_dir=tmp_path / "r")
+    with open(tmp_path / "r" / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows == [{k: str(v) for k, v in r.as_row().items()} for r in second.records]
+    assert [row["iteration"] for row in rows] == ["3", "6"]
 
 
 def test_run_requires_out_dir():
@@ -393,6 +404,87 @@ def test_sweep_parallel_matches_serial(tmp_path):
 def test_sweep_needs_seeds():
     with pytest.raises(RunnerError, match="at least one seed"):
         sweep("smoke-attrval", seeds=[], out_root="unused")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(jobs=0), "jobs must be >= 1, got 0"),
+        (dict(jobs=-3), "jobs must be >= 1, got -3"),
+        (dict(strategies=()), "need at least one strategy"),
+        (dict(strategies=("learned", "left", "learned")), "repeated strategy or seed"),
+        (dict(seeds=[1, 2, 1]), "repeated strategy or seed"),
+        (dict(overrides=dict(seed=3)), "cannot override 'seed'"),
+        (dict(overrides=dict(strategy="left")), "cannot override 'strategy'"),
+    ],
+)
+def test_sweep_rejects_a_grid_it_cannot_run(tmp_path, kwargs, message):
+    with pytest.raises(RunnerError, match=message):
+        sweep("smoke-attrval", **{"seeds": 1, "out_root": tmp_path / "sw", **kwargs})
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_survives_a_killed_child(tmp_path, fake_child):
+    prefix = fake_child("if seed == 1:\n    os.kill(os.getpid(), signal.SIGKILL)")
+    root = tmp_path / "sw"
+    rows = sweep(
+        "smoke-attrval",
+        strategies=("learned",),
+        seeds=3,
+        jobs=2,
+        out_root=root,
+        overrides=dict(n_val=3, hidden=16, embedding=8, batch_size=16, iterations=4, eval_every=2),
+        child_prefix=prefix,
+    )
+    runs = [r for r in rows if r["kind"] == "run"]
+    assert [(r["seed"], r["failed"], r["error"]) for r in runs] == [
+        (0, False, ""),
+        (1, True, "killed by signal 9"),
+        (2, False, ""),
+    ]
+    summary = json.loads((root / "smoke-attrval-learned-s1" / "summary.json").read_text())
+    assert summary["failed"] is True and summary["kept"] is False
+    assert summary["error"] == "killed by signal 9"
+    assert summary["iterations_done"] == 0
+    for seed in (0, 2):
+        summary = json.loads((root / f"smoke-attrval-learned-s{seed}" / "summary.json").read_text())
+        assert summary["iterations_done"] == 4 and not summary["failed"]
+    with open(root / "aggregate.csv") as fh:
+        table = list(csv.DictReader(fh))
+    assert [(r["kind"], r["failed"]) for r in table[:3]] == [
+        ("run", "False"), ("run", "True"), ("run", "False")
+    ]
+    assert table[1]["error"] == "killed by signal 9"
+    assert [r["kept"] for r in table[3:]] == ["2", "2"]
+
+
+def test_sweep_kills_and_reaps_its_children_when_it_raises(tmp_path, fake_child, monkeypatch):
+    # seed 0 ends at once; the sweep then raises while seed 1 still runs
+    prefix = fake_child("time.sleep(0 if seed == 0 else 60)\nsys.exit(3)")
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner_module, "_reap", interrupt)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sweep("smoke-attrval", strategies=("learned",), seeds=2, jobs=2,
+              out_root=tmp_path / "sw", child_prefix=prefix)
+    assert time.monotonic() - started < 30  # seed 1 was killed, not waited for
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_writes_the_exit_code_and_last_log_line_of_a_failed_child(tmp_path, fake_child):
+    prefix = fake_child(
+        "print('first line', flush=True)\nprint('last words', file=sys.stderr)\nsys.exit(7)"
+    )
+    rows = sweep("smoke-attrval", strategies=("left",), seeds=1, out_root=tmp_path / "sw",
+                 child_prefix=prefix)
+    assert rows[0]["failed"] is True
+    assert rows[0]["error"] == "exit code 7: last words"
+    log = (tmp_path / "sw" / "smoke-attrval-left-s0" / "child.log").read_text()
+    assert log == "first line\nlast words\n"
 
 
 # ---------------------------------------------------------------------------
