@@ -3,10 +3,11 @@
 Ops evaluate eagerly and, when a ``Tape`` is active, append a record
 ``(outs, inputs, backward_fn)`` to it. Creation order on the tape is a valid
 topological order, so ``backward`` just walks the records in reverse and
-accumulates cotangents keyed by tensor identity, releasing each record's
-output cotangents once it has run. With no tape active the ops
-are plain numpy calls, which keeps evaluation-only code (greedy decoding,
-metrics) fast.
+accumulates cotangents keyed by tensor identity. Once a record has run,
+``backward`` releases its output cotangents and the record itself, with the
+arrays its backward kept, so a tape runs backward once. With no tape active
+the ops are plain numpy calls, which keeps evaluation-only code (greedy
+decoding, metrics) fast.
 
 Every record has one shape: ``outs`` is a tuple of tensors, one for most ops
 and several for a fused op. ``backward_fn`` takes one cotangent per output,
@@ -436,9 +437,11 @@ def lstm_cell(x, h, c, W, b, alive=None):
     ``alive`` is an optional [B] bool mask: rows where it is False are frozen,
     so they return ``h`` and ``c`` unchanged and pass the cotangents of
     ``h2``/``c2`` straight back to ``h``/``c``. Only the live rows go through
-    the gates, forward and backward. For backward the record keeps only, over
-    the live rows, ``[x, h]``, the gate activations [B, 4H], ``c`` and
-    ``tanh(c2)``.
+    the gates, forward and backward. For backward the record keeps only the
+    gate activations of the live rows; its backward rebuilds ``[x, h]``,
+    ``c`` and ``tanh(c2)`` of those rows from its own inputs and outputs, with
+    the numpy calls the forward made, so the gradients are those of a record
+    that kept them.
     """
     if x.ndim != 2 or h.ndim != 2 or h.shape != c.shape or x.shape[0] != h.shape[0]:
         raise ShapeError(
@@ -466,24 +469,25 @@ def lstm_cell(x, h, c, W, b, alive=None):
     def live(a):
         return a if rows is None else a[rows]
 
-    cd = live(c.data)
-    xh = np.concatenate((live(x.data), live(h.data)), axis=1)
-    act = xh @ W.data
+    def joined():
+        return np.concatenate((live(x.data), live(h.data)), axis=1)
+
+    act = joined() @ W.data
     act += b.data
     _sigmoid_inplace(act[:, : 2 * nH])
     np.tanh(act[:, 2 * nH : 3 * nH], out=act[:, 2 * nH : 3 * nH])
     _sigmoid_inplace(act[:, 3 * nH :])
     i, f, g, o = (act[:, k * nH : (k + 1) * nH] for k in range(4))
-    c2 = f * cd
+    c2 = f * live(c.data)
     c2 += i * g
-    tc = np.tanh(c2)
-    h2 = o * tc
+    h2 = o * np.tanh(c2)
     if rows is not None:
         h2 = _with_rows(h.data, h.shape, rows, h2)
         c2 = _with_rows(c.data, c.shape, rows, c2)
     Wd = W.data
 
     def bw(gh, gc):
+        cd, tc = live(c.data), np.tanh(live(c2))
         gh_live = None if gh is None else live(gh)
         gc_live = None if gc is None else live(gc)
         dz = np.empty_like(act)
@@ -506,7 +510,7 @@ def lstm_cell(x, h, c, W, b, alive=None):
             dx = _with_rows(None, x.shape, rows, dx)
             dh = _with_rows(gh, h.shape, rows, dh)
             dc = _with_rows(gc, c.shape, rows, dc)
-        return dx, dh, dc, xh.T @ dz, dz.sum(axis=0)
+        return dx, dh, dc, joined().T @ dz, dz.sum(axis=0)
 
     return _finish_many((h2, c2), "lstm_cell", (x, h, c, W, b), bw)
 
@@ -663,15 +667,28 @@ def backward(tape, loss, wrt=None):
     parameters): a cotangent reaching any other leaf (a constant such as a
     zero initial state, an embedded input or an advantage) is dropped on
     arrival, so that leaf reads zero and has no entry.
+
+    Each record is released (its entry on the tape set to ``None``) once it
+    has run, so the arrays it saved for backward are freed as the pass goes
+    rather than when the tape is dropped; ``len(tape)`` still counts every
+    record. A tape therefore runs backward once: a second call raises
+    ``DiffError``.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got {loss.shape}")
-    produced = {id(o) for outs, _, _ in tape._nodes for o in outs}
+    nodes = tape._nodes
+    if None in nodes:
+        raise DiffError("backward: this tape's records were released by an earlier backward")
+    # built while every record still holds its outputs, so no id in it can
+    # belong to a tensor made after a record is released
+    produced = {id(o) for outs, _, _ in nodes for o in outs}
     if id(loss) not in produced:
         raise DiffError("backward: loss was not produced on this tape")
     table = {id(loss): (loss, np.ones((), dtype=loss.dtype))}
     keep = None if wrt is None else {id(t) for t in wrt}
-    for outs, inputs, bw in reversed(tape._nodes):
+    for k in range(len(nodes) - 1, -1, -1):
+        outs, inputs, bw = nodes[k]
+        nodes[k] = None
         gs = [table.pop(id(o), (None, None))[1] for o in outs]
         if all(g is None for g in gs):
             continue

@@ -581,10 +581,13 @@ STRATEGY_COLORS = {
 REPORT_METRICS = ("comacc_train", "comacc_test", "mean_log_prior_train", "mean_log_prior_test")
 
 
-def _space_label(config_dict):
+def _group_label(config_dict):
+    # one report group per meaning space and beta_mode; rewo groups add -rewo
     if config_dict["space"] == "attr_val":
-        return f"attrval-{config_dict['n_att']}x{config_dict['n_val']}"
-    return f"dyck-k{config_dict['k']}-lmax{config_dict['l_max']}"
+        label = f"attrval-{config_dict['n_att']}x{config_dict['n_val']}"
+    else:
+        label = f"dyck-k{config_dict['k']}-lmax{config_dict['l_max']}"
+    return label + ("-rewo" if config_dict["beta_mode"] == "rewo" else "")
 
 
 def _load_run_dirs(in_dirs):
@@ -603,7 +606,8 @@ def _load_run_dirs(in_dirs):
 
 
 def report(in_dirs, out_dir):
-    """Plot kept runs grouped by meaning space: one SVG + CSV per metric.
+    """Plot kept runs grouped by meaning space and ``beta_mode``: one SVG +
+    CSV per metric, named after the space, with ``-rewo`` for rewo runs.
 
     Each chart carries one series per strategy (mean over kept seeds, min/max
     band). Returns the list of files written.
@@ -620,7 +624,7 @@ def report(in_dirs, out_dir):
         if not records or not summary.get("kept", True):
             continue
         strategy = Strategy.parse(config_dict["strategy"]).value
-        groups.setdefault(_space_label(config_dict), {}).setdefault(strategy, []).append(records)
+        groups.setdefault(_group_label(config_dict), {}).setdefault(strategy, []).append(records)
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

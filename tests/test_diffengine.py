@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,12 +113,17 @@ def test_intermediates_and_loss_have_no_gradient_entry():
 def test_wrt_drops_constant_leaves():
     # a constant leaf's cotangent is dropped on arrival: it reads zero and has
     # no entry, while the wanted leaf's gradient is unchanged
+    # (a tape runs backward once, so the same loss is recorded on two)
     w = f64([0.5, -1.5, 2.0])
     const = f64([3.0, 1.0, -2.0])
-    with Tape() as tape:
-        loss = de.reduce_sum(de.mul(de.tanh(de.mul(w, const)), const))
-    full = backward(tape, loss)
-    only_w = backward(tape, loss, wrt=[w])
+
+    def recorded():
+        with Tape() as tape:
+            loss = de.reduce_sum(de.mul(de.tanh(de.mul(w, const)), const))
+        return tape, loss
+
+    full = backward(*recorded())
+    only_w = backward(*recorded(), wrt=[w])
     assert const in full and const not in only_w
     np.testing.assert_array_equal(only_w[const], np.zeros(3))
     np.testing.assert_array_equal(only_w[w], full[w])
@@ -486,12 +492,12 @@ def test_binary_op_with_scalar_operand(name, form):
         loss = de.reduce_sum(de.mul(out, w))
     assert len(tape) == 3  # one record for the op
     assert np.array_equal(out.data, ref(a_np, b_np))
+    inputs, bw = tape._nodes[0][1:]  # read before backward releases it
     grads = backward(tape, loss)
     ga, gb = cotangents(*np.broadcast_arrays(a_np, b_np), w.data)
     assert np.array_equal(grads[a], ga.sum() if form == "scalar_left" else ga)
     assert grad_check(lambda x: loss_of(x, b), a) < 1e-8
     if form == "number":
-        inputs, bw = tape._nodes[0][1:]
         assert inputs == (a,) and len(bw(w.data)) == 1
     else:
         assert np.array_equal(grads[b], gb.sum() if form == "scalar_right" else gb)
@@ -731,6 +737,43 @@ def test_lstm_cell_is_one_tape_node():
     with Tape() as tape:
         de.lstm_cell(**args, alive=np.array([True, False, True, True]))
     assert len(tape) == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True], ids=["all_alive", "frozen_rows"])
+def test_lstm_cell_record_keeps_only_its_gates_and_outputs(masked, dtype):
+    # tracemalloc sees numpy's buffers: after one taped step, what the tape
+    # and the outputs hold is h2, c2 and the live rows' [n_live, 4H] gates,
+    # plus 4 KiB for the record's tuple, tensors and closures. [x, h] alone
+    # is 12 KiB in float32 here, and tanh(c2) 8 KiB
+    rng = np.random.default_rng(47)
+    args = {k: Tensor._wrap(v.data.astype(dtype)) for k, v in
+            lstm_inputs(rng, batch=64, n_in=16, hidden=32).items()}
+    alive = rng.random(64) < 0.7 if masked else None
+    n_live = 64 if alive is None else int(alive.sum())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            h2, c2 = de.lstm_cell(**args, alive=alive)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    gates = n_live * 4 * 32 * np.dtype(dtype).itemsize
+    assert len(tape) == 1
+    assert grown <= h2.data.nbytes + c2.data.nbytes + gates + 4096
+
+
+def test_backward_releases_each_record_and_runs_once():
+    x = f64([0.5, -1.0, 2.0])
+    with Tape() as tape:
+        loss = de.reduce_sum(de.mul(de.tanh(x), x))
+    g = backward(tape, loss)
+    assert len(tape) == 3  # every record is still counted
+    assert tape._nodes == [None, None, None]
+    np.testing.assert_allclose(g[x], np.tanh(x.data) + (1 - np.tanh(x.data) ** 2) * x.data)
+    with pytest.raises(DiffError, match="released by an earlier backward"):
+        backward(tape, loss)
 
 
 @pytest.mark.parametrize("out", ["h2", "c2"])

@@ -557,6 +557,28 @@ def test_report_skips_excluded_runs(tmp_path):
         report([tmp_path / "drop"], tmp_path / "rep2")
 
 
+def test_report_keeps_beta_off_and_rewo_runs_of_one_space_apart(tmp_path):
+    run(tiny_config(), out_dir=tmp_path / "off")
+    run(tiny_config(beta_mode="rewo"), out_dir=tmp_path / "rewo")
+    summary_path = tmp_path / "rewo" / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["kept"] = True  # a run this short never passes the rewo filter
+    summary_path.write_text(json.dumps(summary))
+    files = report([tmp_path / "off", tmp_path / "rewo"], tmp_path / "rep")
+    names = sorted(f.rsplit("/", 1)[-1] for f in files)
+    assert {n.split("_", 1)[0] for n in names} == {"attrval-2x3", "attrval-2x3-rewo"}
+    assert {n for n in names if "log_prior" in n} == {
+        f"attrval-2x3-rewo_mean_log_prior_{split}.{ext}"
+        for split in ("train", "test") for ext in ("svg", "csv")
+    }
+    # each group's learned series is its one run, not the mean of both
+    for label, run_dir in (("attrval-2x3", "off"), ("attrval-2x3-rewo", "rewo")):
+        with open(tmp_path / "rep" / f"{label}_comacc_train.csv") as fh:
+            table = list(csv.reader(fh))
+        want = [repr(r.comacc_train) for r in read_metrics(tmp_path / run_dir / "metrics.csv")]
+        assert [row[1] for row in table[1:]] == want
+
+
 @pytest.mark.parametrize("other_strategy", ["learned", "left"], ids=["within", "across"])
 def test_report_rejects_runs_on_different_evaluation_grids(tmp_path, other_strategy):
     run(tiny_config(iterations=2, eval_every=1), out_dir=tmp_path / "a")

@@ -1,10 +1,16 @@
-"""``tools/tape_ops.py`` counts the records of one training step, and the
-rows they hold, by op."""
+"""``tools/tape_ops.py`` counts the records of one training step, the rows
+they hold and the memory they keep, by op."""
 
 import importlib.util
 import pathlib
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
 
 from eclab import diffengine as de
+from eclab import game, runner
 from eclab.agents import TokenSeqEncoder
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "tools" / "tape_ops.py"
@@ -14,14 +20,17 @@ spec.loader.exec_module(tape_ops)
 
 
 def _table(capsys, preset, *sets):
-    finish_many = de._finish_many
+    finish_many, backward = de._finish_many, game.backward
     assert tape_ops.main([preset, *(a for s in sets for a in ("--set", s))]) == 0
-    assert de._finish_many is finish_many
-    table = {}
+    assert de._finish_many is finish_many and game.backward is backward
+    assert not tracemalloc.is_tracing()
+    table, mb = {}, {}
     for line in capsys.readouterr().out.splitlines():
-        op, records, rows = line.split()
-        table[op] = (int(records), int(rows))
+        op, records, rows, held = line.split()
+        table[op], mb[op] = (int(records), int(rows)), float(held)
     assert table.pop("total") == tuple(map(sum, zip(*table.values())))
+    # each MB is rounded to 0.01 on its own
+    assert mb.pop("total") == pytest.approx(sum(mb.values()), abs=0.005 * (len(mb) + 1))
     return table
 
 
@@ -64,3 +73,22 @@ def test_lstm_cell_rows_drop_by_the_shared_word_prefixes(capsys, monkeypatch):
     # distinct prefixes of each step
     assert shared["lstm_cell"][0] == per_row["lstm_cell"][0]
     assert per_row["lstm_cell"][1] - shared["lstm_cell"][1] == 64 * steps - nodes > 0
+
+
+@pytest.mark.parametrize("preset", ["smoke-attrval", "smoke-dyck"])
+def test_lstm_cell_records_hold_no_more_than_their_gates_and_outputs(preset, monkeypatch):
+    # what a record may keep: its [n_live, 4H] gates and its two [B, H]
+    # outputs, plus 4 KiB for its tuple, tensors and closures
+    allowed = []
+    cell = de.lstm_cell
+
+    def sized(x, h, c, W, b, alive=None):
+        n_live = h.shape[0] if alive is None else int(np.count_nonzero(alive))
+        allowed.append((n_live * 4 + 2 * h.shape[0]) * h.shape[1] * h.data.itemsize + 4096)
+        return cell(x, h, c, W, b, alive)
+
+    monkeypatch.setattr(de, "lstm_cell", sized)
+    config = replace(runner.resolve_preset(preset), batch_size=64, hidden=64)
+    counts, _, held = tape_ops.count_ops(config)
+    assert counts["lstm_cell"] == len(allowed) > 0
+    assert 0 < held["lstm_cell"] <= sum(allowed)

@@ -1,14 +1,23 @@
-"""Count the tape records of one training step, and the rows they hold, by op.
+"""Count the tape records of one training step, the rows they hold and the
+memory they keep, by op.
 
     PYTHONPATH=src python3 tools/tape_ops.py smoke-attrval [--set K=V ...]
 
 Builds the preset's agents (``--set`` overrides a RunConfig field, as for
 ``eclab run``), draws the first training batch as ``eclab run`` does, runs
 one ``game.play_batch`` in float32 and prints, per op, how many records it
-put on the tape and the summed leading-axis size of their first outputs (1
-for a 0-d output), most records first, then the totals. The rows show how
-many nodes or rows a record runs on: the ``lstm_cell`` rows of a Dyck preset
-drop when its LSTMs run once per distinct prefix, though the records do not.
+put on the tape, the summed leading-axis size of their first outputs (1
+for a 0-d output) and the MB (2**20 bytes) the forward held for them, most
+records first, then the totals. The rows show how many nodes or rows a
+record runs on: the ``lstm_cell`` rows of a Dyck preset drop when its LSTMs
+run once per distinct prefix, though the records do not.
+
+The MB come from ``tracemalloc``, which sees numpy's buffers. It traces the
+forward, from the start of ``play_batch`` to its call of ``backward``; the
+growth of traced memory between two consecutive records (outputs, arrays
+kept for backward, and whatever the code between them left alive) counts to
+the later record's op, so the total is what the forward holds at its last
+record.
 """
 
 from __future__ import annotations
@@ -16,45 +25,60 @@ from __future__ import annotations
 import argparse
 import collections
 import sys
+import tracemalloc
 from dataclasses import replace
 
 from eclab import diffengine as de
-from eclab import runner
+from eclab import game, runner
 from eclab.game import BaselineState, build_agents, play_batch
 from eclab.meanings import split
 
 
 def count_ops(config):
     """``Counter``s of op name -> records on the tape of one ``play_batch``,
-    and op name -> summed leading-axis size of those records' first outputs."""
+    op name -> summed leading-axis size of those records' first outputs, and
+    op name -> bytes of traced growth counted to those records."""
     space = runner.build_space(config)
     train_idx, _ = split(space, seed=runner.stream_seed(config.seed, "split"))
     streams = runner.seed_streams(config.seed)
     picks = streams["batch"].integers(0, len(train_idx), size=config.batch_size)
+    meanings = [space.meanings[train_idx[i]] for i in picks]
     sender, receiver = build_agents(space, config, streams["init"])
-    counts, rows = collections.Counter(), collections.Counter()
-    finish_many = de._finish_many
+    counts, rows, held = (collections.Counter() for _ in range(3))
+    finish_many, backward = de._finish_many, game.backward
+    last = [0]  # traced bytes at the previous record
 
     def counted(arrs, op, inputs, bw):
+        outs = finish_many(arrs, op, inputs, bw)
         if de._TAPES:
             counts[op] += 1
             rows[op] += arrs[0].shape[0] if arrs[0].ndim else 1
-        return finish_many(arrs, op, inputs, bw)
+            if tracemalloc.is_tracing():
+                now = tracemalloc.get_traced_memory()[0]
+                held[op] += now - last[0]
+                last[0] = now
+        return outs
 
-    de._finish_many = counted
+    def untraced_backward(*args, **kwargs):
+        tracemalloc.stop()  # the forward ends here
+        return backward(*args, **kwargs)
+
+    de._finish_many, game.backward = counted, untraced_backward
+    tracemalloc.start()
     try:
         play_batch(
             sender,
             receiver,
-            [space.meanings[train_idx[i]] for i in picks],
+            meanings,
             config,
             rng=streams["sender"],
             baseline=BaselineState(decay=config.baseline_decay),
             branch_rng=streams["branching"],
         )
     finally:
-        de._finish_many = finish_many
-    return counts, rows
+        tracemalloc.stop()
+        de._finish_many, game.backward = finish_many, backward
+    return counts, rows, held
 
 
 def main(argv=None):
@@ -67,10 +91,11 @@ def main(argv=None):
         config = replace(runner.resolve_preset(args.preset), **updates)
     except ValueError as exc:
         parser.error(str(exc))
-    counts, rows = count_ops(config)
+    counts, rows, held = count_ops(config)
     for op, n in counts.most_common():
-        print(f"{op:<12} {n:>6} {rows[op]:>9}")
-    print(f"{'total':<12} {sum(counts.values()):>6} {sum(rows.values()):>9}")
+        print(f"{op:<12} {n:>6} {rows[op]:>9} {held[op] / 2**20:>10.2f}")
+    total = sum(held.values()) / 2**20
+    print(f"{'total':<12} {sum(counts.values()):>6} {sum(rows.values()):>9} {total:>10.2f}")
     return 0
 
 
