@@ -53,10 +53,9 @@ def count_ops(config):
         if de._TAPES:
             counts[op] += 1
             rows[op] += arrs[0].shape[0] if arrs[0].ndim else 1
-            if tracemalloc.is_tracing():
-                now = tracemalloc.get_traced_memory()[0]
-                held[op] += now - last[0]
-                last[0] = now
+            now = tracemalloc.get_traced_memory()[0]
+            held[op] += now - last[0]
+            last[0] = now
         return outs
 
     def untraced_backward(*args, **kwargs):
