@@ -31,7 +31,9 @@ One decoding loop, ``_unroll``, serves the sender's emission and scoring and
 the Dyck receiver's teacher-forced log-likelihood and greedy decoding. Each of
 log S with entropy H, log R and the prior's log P is one
 ``diffengine.categorical`` record over per-step logits. Meanings enter as
-tuples and are turned into int rows by ``MeaningSpace.rows``.
+tuples and are turned into int rows by ``MeaningSpace.rows``. Both agents
+are built from a ``game.GameConfig``, the one place their settings are
+defaulted and checked.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ EOS = 0
 
 
 class AgentError(ValueError):
-    """Bad message/meaning input or inconsistent agent configuration."""
+    """Bad message or meaning input, or a call an agent cannot serve."""
 
 
 class MissingPriorError(AgentError):
@@ -387,32 +389,20 @@ class Sender(ParamModule):
 
     _subs = ("encoder", "emb", "cell", "out")
 
-    def __init__(
-        self,
-        space,
-        hidden=512,
-        embedding=32,
-        vocab=4,
-        max_len=8,
-        rng=None,
-        dtype=np.float32,
-    ):
-        if vocab < 2:
-            raise AgentError(f"vocab must be >= 2 (EOS plus content), got {vocab}")
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, space, config, rng, dtype):
         self.space = space
-        self.hidden = hidden
-        self.embedding = embedding
-        self.vocab = vocab
-        self.max_len = max_len
-        self.dtype = np.dtype(dtype)
+        self.hidden = hidden = config.hidden
+        self.embedding = embedding = config.embedding
+        self.vocab = vocab = config.vocab
+        self.max_len = config.max_len
+        self.dtype = dtype = np.dtype(dtype)
         if space.kind == "attr_val":
-            self.encoder = OneHotEncoder(rng, space, hidden, self.dtype)
+            self.encoder = OneHotEncoder(rng, space, hidden, dtype)
         else:
-            self.encoder = TokenSeqEncoder(rng, space, hidden, embedding, self.dtype)
-        self.emb = Embedding(rng, vocab, embedding, self.dtype)
-        self.cell = LstmCell(rng, embedding, hidden, self.dtype)
-        self.out = Linear(rng, hidden, vocab, self.dtype)
+            self.encoder = TokenSeqEncoder(rng, space, hidden, embedding, dtype)
+        self.emb = Embedding(rng, vocab, embedding, dtype)
+        self.cell = LstmCell(rng, embedding, hidden, dtype)
+        self.out = Linear(rng, hidden, vocab, dtype)
 
     def encode(self, meanings):
         """Initial LSTM state (h, c), each [B, hidden]."""
@@ -499,54 +489,35 @@ class Receiver(ParamModule):
         "prior_out",
     )
 
-    def __init__(
-        self,
-        space,
-        hidden=512,
-        embedding=32,
-        vocab=4,
-        max_len=8,
-        caps=(2.0, 2.0, 2.0),
-        with_prior=False,
-        random_resample="per_step",
-        rng=None,
-        dtype=np.float32,
-    ):
-        if vocab < 2:
-            raise AgentError(f"vocab must be >= 2 (EOS plus content), got {vocab}")
-        if any(cap <= 0 for cap in caps):
-            raise AgentError(f"directive caps must be positive, got {caps}")
-        if random_resample not in ("per_step", "per_message"):
-            raise AgentError(f"unknown random_resample mode {random_resample!r}")
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, space, config, rng, dtype):
         self.space = space
-        self.hidden = hidden
-        self.embedding = embedding
-        self.vocab = vocab
-        self.max_len = max_len
-        self.k_u, self.k_d, self.k_r = self.caps = tuple(float(c) for c in caps)
-        self.random_resample = random_resample
-        self.dtype = np.dtype(dtype)
-        self.emb = Embedding(rng, vocab, embedding, self.dtype)
-        self.cell = LstmCell(rng, embedding + hidden, hidden, self.dtype)
-        self.to_value = Linear(rng, hidden, hidden, self.dtype)
-        self.to_u = ScalarHead(rng, hidden, self.dtype)
-        self.to_d = ScalarHead(rng, hidden, self.dtype)
-        self.to_r = ScalarHead(rng, hidden, self.dtype)
+        self.hidden = hidden = config.hidden
+        self.embedding = embedding = config.embedding
+        self.vocab = vocab = config.vocab
+        self.max_len = config.max_len
+        caps = (config.k_u, config.k_d, config.k_r)
+        self.k_u, self.k_d, self.k_r = self.caps = tuple(float(k) for k in caps)
+        self.random_resample = config.random_resample
+        self.dtype = dtype = np.dtype(dtype)
+        self.emb = Embedding(rng, vocab, embedding, dtype)
+        self.cell = LstmCell(rng, embedding + hidden, hidden, dtype)
+        self.to_value = Linear(rng, hidden, hidden, dtype)
+        self.to_u = ScalarHead(rng, hidden, dtype)
+        self.to_d = ScalarHead(rng, hidden, dtype)
+        self.to_r = ScalarHead(rng, hidden, dtype)
         self.heads = None
         self.dec_emb = self.dec_cell = self.dec_out = None
         if space.kind == "attr_val":
-            self.heads = [
-                Linear(rng, hidden, space.n_val, self.dtype) for _ in range(space.n_att)
-            ]
+            self.heads = [Linear(rng, hidden, space.n_val, dtype) for _ in range(space.n_att)]
         else:
             n_tok = 2 * space.k + 1  # brackets plus the end-of-word token
-            self.dec_emb = Embedding(rng, n_tok, embedding, self.dtype)
-            self.dec_cell = LstmCell(rng, embedding, hidden, self.dtype)
-            self.dec_out = Linear(rng, hidden, n_tok, self.dtype)
+            self.dec_emb = Embedding(rng, n_tok, embedding, dtype)
+            self.dec_cell = LstmCell(rng, embedding, hidden, dtype)
+            self.dec_out = Linear(rng, hidden, n_tok, dtype)
         # created last so configurations with and without a prior draw
         # identical initial values for every shared parameter
-        self.prior_out = Linear(rng, hidden, vocab, self.dtype) if with_prior else None
+        rewo = config.beta_mode == "rewo"
+        self.prior_out = Linear(rng, hidden, vocab, dtype) if rewo else None
 
     @property
     def has_prior(self):

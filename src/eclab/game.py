@@ -44,7 +44,8 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class GameConfig:
-    """Agent and objective settings (the run layer adds schedule/bookkeeping)."""
+    """Agent and objective settings (the run layer adds schedule/bookkeeping).
+    ``Sender`` and ``Receiver`` read theirs from here, where they are checked."""
 
     strategy: str = "learned"
     beta_mode: str = "off"  # "off" | "rewo"
@@ -81,6 +82,11 @@ class GameConfig:
             ("baseline_decay", 0 <= self.baseline_decay <= 1, "in [0, 1]"),
             ("rewo_ema_decay", 0 <= self.rewo_ema_decay <= 1, "in [0, 1]"),
             ("beta0", 0 < self.beta0 <= 1, "in (0, 1]"),
+            ("k_u", self.k_u > 0, "> 0"),
+            ("k_d", self.k_d > 0, "> 0"),
+            ("k_r", self.k_r > 0, "> 0"),
+            ("random_resample", self.random_resample in ("per_step", "per_message"),
+             "per_step or per_message"),
         ):
             if not ok:
                 raise GameError(f"{name} must be {rule}, got {getattr(self, name)}")
@@ -93,28 +99,7 @@ def build_agents(space, config, rng, dtype=np.float32):
     present in "rewo" mode) draws last, so configurations that differ only in
     beta_mode share identical initial values for every common parameter.
     """
-    sender = Sender(
-        space,
-        hidden=config.hidden,
-        embedding=config.embedding,
-        vocab=config.vocab,
-        max_len=config.max_len,
-        rng=rng,
-        dtype=dtype,
-    )
-    receiver = Receiver(
-        space,
-        hidden=config.hidden,
-        embedding=config.embedding,
-        vocab=config.vocab,
-        max_len=config.max_len,
-        caps=(config.k_u, config.k_d, config.k_r),
-        with_prior=config.beta_mode == "rewo",
-        random_resample=config.random_resample,
-        rng=rng,
-        dtype=dtype,
-    )
-    return sender, receiver
+    return Sender(space, config, rng, dtype), Receiver(space, config, rng, dtype)
 
 
 def joint_parameters(sender, receiver):

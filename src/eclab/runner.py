@@ -22,6 +22,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import signal
 import sys
 import time
@@ -306,9 +307,10 @@ def run(config, out_dir=None):
     non-finite loss marks the run failed in summary.json (with diagnostics)
     instead of raising, so sweeps continue past bad seeds. So does a run the
     memory preflight refuses (``memory_refusal``): it trains nothing and
-    writes no metrics.csv rows. A config whose meaning space or agents
-    cannot be built raises before the run directory is made; a metrics.csv
-    that an earlier run left there is removed when config.json is written.
+    writes no metrics.csv rows. A config whose meaning space cannot be
+    built raises before the run directory is made; the metrics.csv
+    and summary.json an earlier run left there are removed when config.json
+    is written, so a run killed before it ends leaves no summary.
     """
     out = pathlib.Path(out_dir or config.out_dir or "")
     if str(out) in ("", "."):
@@ -331,7 +333,8 @@ def run(config, out_dir=None):
         json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n"
     )
     metrics_path = out / "metrics.csv"
-    metrics_path.unlink(missing_ok=True)  # no rows of an earlier run in this directory
+    for stale in (metrics_path, out / "summary.json"):  # an earlier run's, in this directory
+        stale.unlink(missing_ok=True)
     refusal = memory_refusal(config, np.dtype(dtype).itemsize)
     if refusal is not None:
         return _finish_run(config, out, [], config.beta0 if use_prior else 0.0, refusal, 0.0)
@@ -414,9 +417,13 @@ def run(config, out_dir=None):
     return _finish_run(config, out, records, beta, error, wall)
 
 
-def _finish_run(config, out, records, beta, error, wall_seconds):
-    """Write ``summary.json`` for a run that ended (or was refused)."""
+def _finish_run(config, out, records, beta, error, wall_seconds, usage=None):
+    """Write ``summary.json`` for a run that ended (or was refused). Its peak
+    RSS is ``usage.ru_maxrss``, this process's unless a child's rusage is
+    given, and 0 under ``ECLAB_DETERMINISTIC=1`` like its wall time."""
     use_prior = config.beta_mode == "rewo"
+    usage = usage or resource.getrusage(resource.RUSAGE_SELF)
+    deterministic = os.environ.get("ECLAB_DETERMINISTIC") == "1"
     final = records[-1] if records else None
     kept = (not error) and (run_filter(beta) if use_prior else True)
     summary = {
@@ -437,6 +444,7 @@ def _finish_run(config, out, records, beta, error, wall_seconds):
         "failed": error is not None,
         "error": error,
         "wall_seconds_total": wall_seconds,
+        "peak_rss_mb": 0.0 if deterministic else round(usage.ru_maxrss / 1024, 1),
         "stream_seeds": {name: stream_seed(config.seed, name) for name in STREAM_NAMES},
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -450,7 +458,7 @@ AGGREGATE_NUMERIC = [
     "comacc_train", "comacc_test", "beta", "mean_log_prior_train", "mean_log_prior_test"
 ]
 AGGREGATE_FIELDS = ["preset", "strategy", "seed", "kind", "kept", "failed"]
-AGGREGATE_FIELDS += [*AGGREGATE_NUMERIC, "error"]
+AGGREGATE_FIELDS += [*AGGREGATE_NUMERIC, "peak_rss_mb", "error"]
 
 DEFAULT_STRATEGIES = ("learned", "left", "random")
 
@@ -481,8 +489,9 @@ def _spawn(cmd, run_dir, env):
         return os.posix_spawnp(cmd[0], cmd, env, file_actions=to_log)
 
 
-def _reap(config, run_dir, status):
-    """Write a failed summary.json for a child that ended without one."""
+def _reap(config, run_dir, status, usage):
+    """Write a failed summary.json for a child that ended without one, with
+    the peak RSS from its ``wait4`` rusage."""
     if (run_dir / "summary.json").exists():
         return
     code = os.waitstatus_to_exitcode(status)
@@ -492,7 +501,7 @@ def _reap(config, run_dir, status):
         lines = (run_dir / "child.log").read_text(errors="replace").splitlines()
         error = f"exit code {code}: {lines[-1] if lines else ''}"
     beta = config.beta0 if config.beta_mode == "rewo" else 0.0
-    _finish_run(config, run_dir, [], beta, error, 0.0)
+    _finish_run(config, run_dir, [], beta, error, 0.0, usage)
 
 
 def sweep(preset, strategies=DEFAULT_STRATEGIES, seeds=24, jobs=1, out_root=None,
@@ -538,9 +547,9 @@ def sweep(preset, strategies=DEFAULT_STRATEGIES, seeds=24, jobs=1, out_root=None
                 config, run_dir, cmd = pending.pop()
                 running[_spawn(cmd, run_dir, env)] = (config, run_dir)
                 continue
-            pid, status, _ = os.wait4(-1, 0)
+            pid, status, usage = os.wait4(-1, 0)
             if pid in running:  # any other pid was not a sweep child
-                _reap(*running.pop(pid), status)
+                _reap(*running.pop(pid), status, usage)
     except BaseException:
         for pid in running:
             os.kill(pid, signal.SIGKILL)
@@ -553,6 +562,7 @@ def sweep(preset, strategies=DEFAULT_STRATEGIES, seeds=24, jobs=1, out_root=None
         rows.append(dict(
             preset=preset, strategy=config.strategy, seed=config.seed, kind="run",
             kept=summary["kept"], failed=summary["failed"], error=summary["error"] or "",
+            peak_rss_mb=summary["peak_rss_mb"],
             **{col: summary[f"final_{col}"] for col in AGGREGATE_NUMERIC},
         ))
     stat_rows = []
@@ -617,19 +627,21 @@ def report(in_dirs, out_dir):
     CSV per metric, named after the space, with ``-rewo`` for rewo runs.
 
     Each chart carries one series per strategy (mean over kept seeds, min/max
-    band). Returns the list of files written.
+    band). A run without a summary.json never finished and is skipped like a
+    run not kept. Returns the list of files written.
     """
     run_dirs = _load_run_dirs(in_dirs)
     if not run_dirs:
         raise RunnerError("no input run directories")
     groups = {}
     for path in run_dirs:
+        # the summary first: a run killed before writing one may have left a
+        # half-written last row in metrics.csv
+        summary_path = path / "summary.json"
+        if not summary_path.exists() or not json.loads(summary_path.read_text())["kept"]:
+            continue
         config_dict = json.loads((path / "config.json").read_text())
         records = read_metrics(path / "metrics.csv")
-        summary_path = path / "summary.json"
-        summary = json.loads(summary_path.read_text()) if summary_path.exists() else {}
-        if not records or not summary.get("kept", True):
-            continue
         strategy = Strategy.parse(config_dict["strategy"]).value
         groups.setdefault(_group_label(config_dict), {}).setdefault(strategy, []).append(records)
 

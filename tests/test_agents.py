@@ -20,6 +20,7 @@ from eclab.agents import (
     as_message_batch,
 )
 from eclab.diffengine import Tape, Tensor, backward, grad_check, kink_margin, tensor
+from eclab.game import GameConfig
 from eclab.meanings import encode_meaning, enumerate_attr_val, enumerate_dyck
 from eclab.neural_stack import StackDirectives, StackState, stack_step
 
@@ -33,29 +34,20 @@ def dyck_space():
 
 
 def small_sender(space, seed=0, vocab=3, max_len=3, dtype=np.float64):
-    return Sender(
-        space,
-        hidden=10,
-        embedding=4,
-        vocab=vocab,
-        max_len=max_len,
-        rng=np.random.default_rng(seed),
-        dtype=dtype,
-    )
+    config = GameConfig(hidden=10, embedding=4, vocab=vocab, max_len=max_len)
+    return Sender(space, config, np.random.default_rng(seed), dtype)
 
 
 def small_receiver(space, seed=1, vocab=3, max_len=3, with_prior=False, dtype=np.float64, **kw):
-    return Receiver(
-        space,
+    config = GameConfig(
         hidden=8,
         embedding=4,
         vocab=vocab,
         max_len=max_len,
-        with_prior=with_prior,
-        rng=np.random.default_rng(seed),
-        dtype=dtype,
+        beta_mode="rewo" if with_prior else "off",
         **kw,
     )
+    return Receiver(space, config, np.random.default_rng(seed), dtype)
 
 
 def all_messages(vocab, max_len):
@@ -177,8 +169,6 @@ def test_sender_input_validation():
         s.emit(state, mode="beam")
     with pytest.raises(AgentError, match="3 messages against 2"):
         s.score(state, [(0,), (0,), (0,)])
-    with pytest.raises(AgentError):
-        Sender(sp, vocab=1, rng=np.random.default_rng(0))
 
 
 def test_message_batch_validation():
@@ -259,7 +249,7 @@ def test_left_branching_read_equals_push_value():
 
 def test_learned_directives_respect_caps():
     sp = attr_space()
-    r = small_receiver(sp, caps=(2.0, 2.0, 2.0))
+    r = small_receiver(sp, k_u=2.0, k_d=2.0, k_r=2.0)
     enc = r.encode(msgs_batch([(1, 2, 0), (2, 1, 1)]), "learned", want_trace=True)
     for tr in enc.trace:
         for s in (tr.u.data, tr.d.data, tr.r.data):

@@ -74,6 +74,13 @@ def test_run_rejects_out_of_range_settings_before_making_the_run_directory(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["k_u=0", "k_d=0", "k_r=0", "random_resample=bogus"])
+def test_run_print_config_refuses_a_bad_cap_or_draw_mode(capsys, setting):
+    assert main(["run", "--preset", "smoke-attrval", "--set", setting, "--print-config"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {setting.split('=')[0]} must be ")
+
+
 @pytest.mark.parametrize(
     "preset,setting",
     [
@@ -89,7 +96,8 @@ def test_run_rejects_out_of_range_settings_before_making_the_run_directory(
 def test_run_rejects_unbuildable_configs_before_making_the_run_directory(
     tmp_path, capsys, preset, setting
 ):
-    # the meaning space or the agents refuse these, not RunConfig
+    # the meaning space refuses the space settings, and the config itself
+    # k_u=0 and random_resample=bogus
     out = tmp_path / "r"
     assert main(["run", "--preset", preset, "--out", str(out), "--set", setting]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import re
 
@@ -22,6 +24,7 @@ from eclab.game import (
     run_filter,
 )
 from eclab.meanings import enumerate_attr_val
+from eclab.runner import build_space, resolve_preset
 
 
 def tiny_config(**kw):
@@ -147,6 +150,10 @@ def test_config_rejects_impossible_sizes(field, bad, least):
         ("rewo_ema_decay", -0.5, "in [0, 1]", 0.0),
         ("beta0", 0.0, "in (0, 1]", math.ulp(0.0)),
         ("beta0", 1.5, "in (0, 1]", 1.0),
+        ("k_u", 0.0, "> 0", math.ulp(0.0)),
+        ("k_d", 0.0, "> 0", math.ulp(0.0)),
+        ("k_r", 0.0, "> 0", math.ulp(0.0)),
+        ("random_resample", "bogus", "per_step or per_message", "per_message"),
     ],
 )
 def test_config_rejects_out_of_range_settings(field, bad, rule, edge):
@@ -154,6 +161,29 @@ def test_config_rejects_out_of_range_settings(field, bad, rule, edge):
     with pytest.raises(GameError, match=re.escape(f"{field} must be {rule}, got {bad}")):
         tiny_config(**{field: bad})
     assert getattr(tiny_config(**{field: edge}), field) == edge
+
+
+def test_initial_parameters_keep_their_pinned_hash():
+    # a sha256 over every initial parameter, pinned when the agents still took
+    # their sizes, caps and prior flag as keyword arguments: building them from
+    # the config draws the same values in the same order
+    digest = hashlib.sha256()
+    for preset, strategy, beta_mode, dtype in itertools.product(
+        ("smoke-attrval", "smoke-dyck", "exp2-attrval-4x8"),
+        ("learned", "random"),
+        ("off", "rewo"),
+        (np.float32, np.float64),
+    ):
+        sizes = {"hidden": 16} if preset == "exp2-attrval-4x8" else {}
+        config = resolve_preset(preset, strategy=strategy, beta_mode=beta_mode, **sizes)
+        agents = build_agents(build_space(config), config, np.random.default_rng(7), dtype)
+        params = joint_parameters(*agents)
+        for name in sorted(params):
+            digest.update(name.encode())
+            digest.update(params[name].data.tobytes())
+    assert digest.hexdigest() == (
+        "3df2a55553c206914ceca878e9fb622abb66bd8cd78b73c7092c21ef286b3be8"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eclab.agents import MessageBatch, MissingPriorError, Receiver, Sender
+from eclab.game import GameConfig
 from eclab.meanings import enumerate_attr_val
 from eclab.metrics import (
     CSV_FIELDS,
@@ -63,16 +64,15 @@ def test_comacc_against_hand_built_channel():
 def real_agents(strategy_needs_prior=False):
     space = enumerate_attr_val(2, 3)
     rng = np.random.default_rng(21)
-    sender = Sender(space, hidden=8, embedding=4, vocab=3, max_len=3, rng=rng)
-    receiver = Receiver(
-        space,
+    config = GameConfig(
         hidden=8,
         embedding=4,
         vocab=3,
         max_len=3,
-        with_prior=strategy_needs_prior,
-        rng=rng,
+        beta_mode="rewo" if strategy_needs_prior else "off",
     )
+    sender = Sender(space, config, rng, np.float32)
+    receiver = Receiver(space, config, rng, np.float32)
     return space, sender, receiver
 
 
