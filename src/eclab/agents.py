@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -547,8 +547,12 @@ class Receiver(ParamModule):
         frozen_draws = None
         if random and self.random_resample == "per_message":
             frozen_draws = self._random_directives(rng, n)
-        # random draws per row: one node per row, whose keys stay distinct, so no gather runs
+        # one root node, or one node per row under random: its draws are per
+        # row, so its keys stay distinct and no gather runs
         node = np.arange(n) if random else np.zeros(n, dtype=np.int64)
+        roots = n if random else 1
+        h, c, read = (de.zeros((roots, self.hidden), dtype=self.dtype) for _ in range(3))
+        stack = StackState.empty(self.hidden, batch=roots, dtype=self.dtype)
         reads = [de.zeros((n, self.hidden), dtype=self.dtype)]
         trace = [] if want_trace else None
         nodes = []
@@ -558,15 +562,8 @@ class Receiver(ParamModule):
             nodes.append(node)
             m = len(first)
             live = alive[first]
-            if t == 0:
-                h, c, read = (de.zeros((m, self.hidden), dtype=self.dtype) for _ in range(3))
-                stack = StackState.empty(self.hidden, batch=m, dtype=self.dtype)
-            else:
-                h, c, read, *entries = _to_rows(parent, h, c, read, *stack.values, *stack.strengths)
-                depth = stack.depth
-                stack = replace(
-                    stack, values=tuple(entries[:depth]), strengths=tuple(entries[depth:]), batch=m
-                )
+            h, c, read, s, *vs = _to_rows(parent, h, c, read, stack.strengths, *stack.values)
+            stack = StackState(tuple(vs), s, self.hidden)
             x = self.emb(batch.symbols[first, t])
             h, c = self.cell.step(de.concat([x, read]), h, c, live)
             v = de.tanh(self.to_value(h))
@@ -641,15 +638,6 @@ class Receiver(ParamModule):
             words = [tuple(w[:m]) for w, m in zip(symbols.tolist(), sizes.tolist())]
         return [words[i] for i in node.tolist()]
 
-    def _prior_logits(self, read_prev):
-        if not self.has_prior:
-            raise MissingPriorError("this receiver was built without a prior head")
-        return self.prior_out(read_prev)
-
-    def prior_step(self, read_prev):
-        """Log P(next symbol | previous read), [B, vocab]."""
-        return de.log_softmax(self._prior_logits(read_prev))
-
     def message_log_prior(self, messages, reads):
         """log P(message) = sum of per-position priors, [B] on the tape.
 
@@ -657,10 +645,12 @@ class Receiver(ParamModule):
         scored against ``reads[t]``. A message truncated at max length has no
         EOS and simply contributes no EOS term.
         """
+        if not self.has_prior:
+            raise MissingPriorError("this receiver was built without a prior head")
         batch = as_message_batch(messages, self.max_len, self.vocab)
         n, t_max = batch.symbols.shape
         if len(reads) < t_max:
             raise AgentError(f"need {t_max} reads, got {len(reads)}")
-        logits = [self._prior_logits(reads[t]) for t in range(t_max)]
+        logits = [self.prior_out(reads[t]) for t in range(t_max)]
         alive = np.arange(t_max) < batch.lengths[:, None]
         return de.categorical(logits, batch.symbols, alive)[0]

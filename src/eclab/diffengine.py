@@ -46,10 +46,6 @@ import numpy as np
 
 PRUNE_EPS = 1e-9  # re-exported for stack code; kept here with the numerics
 
-# When True, every op output is checked for NaN/Inf and the first offender
-# raises with the op name. Costs one isfinite pass per op, so off by default.
-DEBUG_FINITE = False
-
 
 class DiffError(Exception):
     """Base class for engine errors."""
@@ -154,10 +150,6 @@ def _note_kink(a, b):
 
 def _finish_many(arrs, op, inputs, bw):
     # wraps the outputs and records them, as one record, on the active tape
-    if DEBUG_FINITE:
-        for k, arr in enumerate(arrs):
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteError(f"non-finite values in output {k} of {op}")
     outs = tuple(Tensor._wrap(arr) for arr in arrs)
     if _TAPES:
         _TAPES[-1]._nodes.append((outs, inputs, bw))

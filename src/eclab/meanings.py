@@ -144,23 +144,3 @@ def encode_meaning(meaning, space, dtype=np.float32):
             out[a * space.n_val + v] = 1.0
         return out
     return list(meaning)
-
-
-def token_name(t, k):
-    """Printable form of a Dyck token index: ``(i`` for opens, ``)i`` for closes."""
-    if t < k:
-        return f"({t + 1}"
-    return f"){t - k + 1}"
-
-
-def export_space(space, path):
-    """Write one meaning per line: comma-separated value indices for
-    attribute-value spaces, space-separated bracket tokens for Dyck (the empty
-    word is an empty line)."""
-    with open(path, "w") as fh:
-        for m in space.meanings:
-            if space.kind == "attr_val":
-                fh.write(",".join(str(v) for v in m))
-            else:
-                fh.write(" ".join(token_name(t, space.k) for t in m))
-            fh.write("\n")

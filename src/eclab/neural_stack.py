@@ -9,16 +9,17 @@ top-down until ``r`` worth of strength has been gathered. Strengths may exceed
 All three directives may be differentiable 0-d tensors (or, in batched use,
 length-B tensors with value matrices [B, width]); gradients flow through the
 max/min gates into whatever produced the directives. States are immutable:
-each op returns a new ``StackState`` sharing untouched entry tensors.
+each op returns a new ``StackState`` sharing untouched tensors.
 
-A whole ``stack_step`` (pop, push, prune, read) is one tape record with a
-hand-written subgradient backward, computed on a [depth, B] strength matrix.
-The "strength above" sums are ``np.cumsum`` over the entries taken top
-first, which adds in the same order as a per-entry loop would. Its outputs
-are ``(read, *new_strengths)``, so the state keeps one tensor per entry.
-``stack_pop`` and ``stack_read`` run the same kernel with only their part of
-the directives. A single (unbatched) stack is the B = 1 case, reshaped at the
-boundary.
+A state keeps one tensor per entry value and one strength tensor for the
+whole stack, [B, depth] (or [depth] for a single stack), entries bottom
+first. A whole ``stack_step`` (pop, push, prune, read) is one tape record
+with a hand-written subgradient backward, computed on the [depth, B]
+transpose of that tensor. The "strength above" sums are ``np.cumsum`` over
+the entries taken top first, which adds in the same order as a per-entry
+loop would. Its outputs are ``(read, new_strengths)``. ``stack_pop`` and
+``stack_read`` run the same kernel with only their part of the directives.
+A single (unbatched) stack is the B = 1 case, reshaped at the boundary.
 """
 
 from __future__ import annotations
@@ -48,22 +49,31 @@ class StackDirectives:
 
 @dataclass(frozen=True)
 class StackState:
-    """Immutable stack: parallel tuples of value tensors and strength tensors.
+    """Immutable stack: a tuple of value tensors, bottom first, and one
+    strength tensor whose last axis runs over the same entries.
 
-    ``batch`` is None for a single stack (values [width], strengths 0-d) or B
-    for a batch of stacks evolving in lockstep (values [B, width], strengths
-    [B]).
+    A single stack has values [width] and strengths [depth]; a batch of B
+    stacks evolving in lockstep has values [B, width] and strengths
+    [B, depth]. ``batch`` (None for a single stack) and ``dtype`` are read
+    from the strength tensor.
     """
 
     values: tuple
-    strengths: tuple
+    strengths: Tensor
     width: int
-    batch: int | None = None
-    dtype: np.dtype = np.float32
 
     @classmethod
     def empty(cls, width, batch=None, dtype=np.float32):
-        return cls((), (), width, batch, np.dtype(dtype))
+        shape = (0,) if batch is None else (batch, 0)
+        return cls((), de.zeros(shape, dtype=dtype), width)
+
+    @property
+    def batch(self):
+        return None if self.strengths.ndim == 1 else self.strengths.shape[0]
+
+    @property
+    def dtype(self):
+        return self.strengths.dtype
 
     @property
     def depth(self):
@@ -71,12 +81,11 @@ class StackState:
 
 
 def _coerce_strength(state, s, what):
+    want = () if state.batch is None else (state.batch,)
     if isinstance(s, (int, float)):
         if s < 0:
             raise StackError(f"{what} strength must be >= 0, got {s}")
-        shape = () if state.batch is None else (state.batch,)
-        return Tensor._wrap(np.full(shape, s, dtype=state.dtype))
-    want = () if state.batch is None else (state.batch,)
+        return Tensor._wrap(np.full(want, s, dtype=state.dtype))
     if s.shape != want:
         raise StackError(f"{what} strength shape {s.shape}, expected {want}")
     if np.any(s.data < 0):
@@ -115,13 +124,14 @@ def _transition(state, u=None, v=None, d=None, r=None, alive=None, prev_read=Non
     """Pop ``u``, push ``(v, d)``, prune, then read ``r``, as one tape record.
 
     Each part runs only when its directive is given; a push is followed by
-    the prune. Returns ``(strengths, values, read)``: the new per-entry tensors
-    and the read (None without ``r``). Rows where the bool ``alive`` is False
-    pop 0, push 0 and read ``prev_read``. The strength matrix is [depth, B],
-    so every running sum is a vector add over the batch.
+    the prune. Returns ``(strengths, values, read)``: the new strength
+    tensor, the value tensors and the read (None without ``r``). Rows where
+    the bool ``alive`` is False pop 0, push 0 and read ``prev_read``. The
+    strength matrix is [depth, B], so every running sum is a vector add over
+    the batch.
     """
-    single = state.batch is None
-    B = 1 if single else state.batch
+    lead = () if state.batch is None else (state.batch,)
+    B = 1 if state.batch is None else state.batch
     W, dt, n = state.width, state.dtype, state.depth
     freeze = alive is not None and not alive.all()
     if freeze:
@@ -133,9 +143,7 @@ def _transition(state, u=None, v=None, d=None, r=None, alive=None, prev_read=Non
     def live(x):
         return np.where(alive, x, 0) if freeze else x
 
-    S = np.zeros((0, B), dt)
-    if n:
-        S = np.stack([s.data.reshape(B) for s in state.strengths])
+    S = np.ascontiguousarray(state.strengths.data.reshape(B, n).T)
     if pop:
         ud = live(u.data.reshape(B))
         top = S[::-1]
@@ -173,23 +181,23 @@ def _transition(state, u=None, v=None, d=None, r=None, alive=None, prev_read=Non
             total += xs[k] * w[k][:, None]
         if freeze:
             total[frozen] = prev_read.data.reshape(B, W)[frozen]
-        outs.append(total.reshape(W) if single else total)
+        outs.append(total.reshape(lead + (W,)))
         inputs += [r, *xts] + ([prev_read] if freeze else [])
     if changed:
-        outs += [s.reshape(()) if single else s for s in S]
+        outs.append(np.ascontiguousarray(S.T).reshape(lead + (len(S),)))
     if pop or read:
-        inputs += state.strengths
+        inputs.append(state.strengths)
     if pop:
         inputs.append(u)
     if push:
         inputs.append(d)
 
     def bw(*gs):
-        g_read, g_strengths = (gs[0], gs[1:]) if read else (None, gs)
+        g_read = gs[0] if read else None
+        g_strengths = gs[-1] if changed else None
         G = np.zeros((n_post, B), dt)  # cotangents of the pushed-to entries
-        for j, g in enumerate(g_strengths):
-            if g is not None:
-                G[cols[j]] = g.reshape(B)
+        if g_strengths is not None:
+            G[cols] = g_strengths.reshape(B, len(cols)).T
         grads = []
         if read:
             if g_read is None:
@@ -224,7 +232,7 @@ def _transition(state, u=None, v=None, d=None, r=None, alive=None, prev_read=Non
         else:
             dS = G[:n]
         if pop or read:
-            grads += [dS[j].reshape(s.shape) for j, s in enumerate(state.strengths)]
+            grads.append(dS.T.reshape(state.strengths.shape))
         if pop:
             grads.append(live(du).reshape(u.shape))
         if push:
@@ -234,9 +242,7 @@ def _transition(state, u=None, v=None, d=None, r=None, alive=None, prev_read=Non
     if not outs:
         return state.strengths, values, None
     res = de._finish_many(outs, "stack_step", tuple(inputs), bw)
-    read_out = res[0] if read else None
-    strengths = res[read:] if changed else state.strengths
-    return strengths, values, read_out
+    return res[-1] if changed else state.strengths, values, res[0] if read else None
 
 
 def stack_pop(state, u):
@@ -251,14 +257,17 @@ def stack_pop(state, u):
 
 
 def stack_push(state, v, d):
-    """Append one entry with value ``v`` and strength ``d``."""
+    """Append one entry with value ``v`` and strength ``d``: one record that
+    appends ``d`` as the last column of the strengths."""
     d = _coerce_strength(state, d, "push")
     want = (state.width,) if state.batch is None else (state.batch, state.width)
     if v.shape != want:
         raise StackError(f"push value shape {v.shape}, expected {want}")
-    return replace(
-        state, values=state.values + (v,), strengths=state.strengths + (d,)
+    grown = np.concatenate((state.strengths.data, d.data[..., None]), axis=-1)
+    strengths = de._finish(
+        grown, "stack_push", (state.strengths, d), lambda g: (g[..., :-1], g[..., -1])
     )
+    return StackState(state.values + (v,), strengths, state.width)
 
 
 def stack_read(state, r):
@@ -296,15 +305,9 @@ def stack_step(state, directives, alive=None, prev_read=None):
         if not alive.all() and (prev_read is None or prev_read.shape != want):
             raise StackError(f"frozen rows need a prev_read of shape {want}")
     strengths, values, read = _transition(state, u, directives.v, d, r, alive, prev_read)
-    return replace(state, values=values, strengths=strengths), read
+    return StackState(values, strengths, state.width), read
 
 
 def total_strength(state):
     """Sum of entry strengths (0-d tensor, or [B] for a batched stack)."""
-    if state.depth == 0:
-        shape = () if state.batch is None else (state.batch,)
-        return de.zeros(shape, dtype=state.dtype)
-    total = state.strengths[0]
-    for s in state.strengths[1:]:
-        total = de.add(total, s)
-    return total
+    return de.sum_last(state.strengths)

@@ -514,7 +514,8 @@ def sweep(preset, strategies=DEFAULT_STRATEGIES, seeds=24, jobs=1, out_root=None
     a summary.json gets a failed one naming its exit code or signal, and the
     other runs go on. Failed runs stay in the aggregate flagged, and
     per-strategy mean/std rows cover only kept runs. The aggregate lists the
-    runs in grid order, so it is identical for any ``jobs``.
+    runs in grid order, so it is identical for any ``jobs``. A config or
+    meaning space that cannot be built raises before any child starts.
     """
     strategies = [Strategy.parse(s).value for s in strategies]
     seed_list = sorted(range(seeds) if isinstance(seeds, int) else map(int, seeds))
@@ -534,6 +535,8 @@ def sweep(preset, strategies=DEFAULT_STRATEGIES, seeds=24, jobs=1, out_root=None
     for strategy in strategies:
         for seed in seed_list:
             config = resolve_preset(preset, strategy=strategy, seed=seed, **overrides)
+            if not grid:  # only strategy and seed vary, so every run has this space
+                split(build_space(config), seed=stream_seed(config.seed, "split"))
             run_dir = root / f"{preset}-{strategy}-s{seed}"
             cmd = [*child_prefix, "run", "--preset", preset, "--seed", str(seed)]
             cmd += ["--out", str(run_dir), "--set", f"strategy={strategy}", *sets]

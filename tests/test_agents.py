@@ -187,6 +187,16 @@ def test_message_batch_validation():
     assert as_message_batch(b, 3, 3) is b
 
 
+@pytest.mark.parametrize(
+    "symbols, lengths",
+    [([1, 0], [2]), ([[[1, 0]]], [2]), ([[1, 0]], [2, 2]), ([[1, 0]], 2)],
+    ids=["1-d-symbols", "3-d-symbols", "too-many-lengths", "0-d-lengths"],
+)
+def test_message_batch_rejects_malformed_arrays(symbols, lengths):
+    with pytest.raises(AgentError, match="malformed message batch"):
+        MessageBatch(symbols, lengths)
+
+
 def test_sender_gradient_against_finite_differences():
     sp = attr_space()
     s = small_sender(sp)
@@ -443,8 +453,18 @@ def test_prior_is_a_distribution_over_messages():
     enc = r.encode(batch, "learned")
     logp = r.message_log_prior(batch, enc.reads)
     assert np.exp(logp.data).sum() == pytest.approx(1.0, abs=1e-10)
-    step = r.prior_step(enc.reads[0])
+    step = de.log_softmax(r.prior_out(enc.reads[0]))
     np.testing.assert_allclose(np.exp(step.data).sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_message_log_prior_needs_a_read_per_position():
+    r = small_receiver(attr_space(), with_prior=True)
+    batch = msgs_batch([(1, 2, 0), (2, 0)])
+    enc = r.encode(batch, "learned")
+    assert len(enc.reads) == 4  # the zero read, then one per position
+    r.message_log_prior(batch, enc.reads[:3])  # position t reads reads[t]
+    with pytest.raises(AgentError, match="need 3 reads, got 2"):
+        r.message_log_prior(batch, enc.reads[:2])
 
 
 def test_missing_prior_raises():
@@ -555,7 +575,7 @@ def test_truncated_message_has_no_eos_term():
     # manually: sum of the three symbol terms only
     expect = 0.0
     for t in range(3):
-        step = r.prior_step(enc.reads[t]).data[0]
+        step = de.log_softmax(r.prior_out(enc.reads[t])).data[0]
         expect += step[full.symbols[0, t]]
     assert lp_full == pytest.approx(expect, rel=1e-12)
 

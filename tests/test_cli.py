@@ -190,8 +190,10 @@ def test_sweep_and_report_commands(tmp_path, capsys):
     assert list((tmp_path / "rep").glob("*.svg"))
 
 
-def test_sweep_whose_run_raises_records_it_and_exits_1(tmp_path, capsys):
-    # a space of one meaning cannot be split, so the run's child exits with code 2
+def test_sweep_whose_run_raises_records_it_and_exits_1(tmp_path, monkeypatch, capsys, fake_child):
+    # the parent's checks pass; the child then fails with exit code 2
+    prefix = fake_child("print('error: the run gave up', file=sys.stderr)\nsys.exit(2)")
+    monkeypatch.setattr(runner, "sweep", functools.partial(runner.sweep, child_prefix=prefix))
     out = tmp_path / "sw"
     rc = main(
         [
@@ -199,7 +201,6 @@ def test_sweep_whose_run_raises_records_it_and_exits_1(tmp_path, capsys):
             "--seeds", "1", "--out", str(out),
         ]
         + TINY_SETS
-        + ["--set", "n_val=1"]  # the last --set of a key wins
     )
     assert rc == 1
     assert "sweep done: 1 runs (1 failed)" in capsys.readouterr().out
@@ -207,8 +208,21 @@ def test_sweep_whose_run_raises_records_it_and_exits_1(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [r["kind"] for r in rows] == ["run", "mean", "std"]
     assert rows[0]["failed"] == "True" and rows[0]["kept"] == "False"
-    assert rows[0]["error"] == "exit code 2: error: cannot split a space of size 1"
+    assert rows[0]["error"] == "exit code 2: error: the run gave up"
     assert [r["kept"] for r in rows[1:]] == ["0", "0"]
+
+
+def test_sweep_refuses_a_space_it_cannot_build_before_it_starts_a_child(tmp_path, capsys):
+    # a space of one meaning cannot be split into train and test
+    out = tmp_path / "sw"
+    rc = main(
+        ["sweep", "--preset", "smoke-attrval", "--seeds", "2", "--out", str(out)]
+        + TINY_SETS
+        + ["--set", "n_val=1"]  # the last --set of a key wins
+    )
+    assert rc == 2
+    assert "error: cannot split a space of size 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_over_dyck_runs_names_files_by_the_dyck_space(tmp_path, capsys):

@@ -24,7 +24,7 @@ from eclab.game import (
     run_filter,
 )
 from eclab.meanings import enumerate_attr_val
-from eclab.runner import build_space, resolve_preset
+from eclab.runner import RunConfig, RunnerError, build_space, resolve_preset
 
 
 def tiny_config(**kw):
@@ -129,12 +129,17 @@ def test_config_validation():
         ("embedding", 0, 1),
         ("max_len", 0, 1),
         ("vocab", 1, 2),
+        ("iterations", 0, 1),
+        ("eval_draws", 0, 1),
     ],
 )
 def test_config_rejects_impossible_sizes(field, bad, least):
-    with pytest.raises(GameError, match=f"{field} must be >= {least}, got {bad}"):
-        tiny_config(**{field: bad})
-    assert getattr(tiny_config(**{field: least}), field) == least
+    # a run's schedule is RunConfig's to check, the game's sizes GameConfig's
+    run_field = field in ("iterations", "eval_draws")
+    make, error = (RunConfig, RunnerError) if run_field else (tiny_config, GameError)
+    with pytest.raises(error, match=f"{field} must be >= {least}, got {bad}"):
+        make(**{field: bad})
+    assert getattr(make(**{field: least}), field) == least
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,31 @@
+"""``tools/grad_hash.py`` prints one sha256 per training case, the same on
+every run of one tree."""
+
+import importlib.util
+import itertools
+import pathlib
+import re
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "tools" / "grad_hash.py"
+spec = importlib.util.spec_from_file_location("grad_hash", SCRIPT)
+grad_hash = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(grad_hash)
+
+
+def test_prints_one_stable_digest_per_case(capsys):
+    outputs = []
+    for _ in range(2):
+        assert grad_hash.main() == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = [line.split() for line in outputs[0].splitlines()]
+    cases = itertools.product(
+        ("smoke-attrval", "smoke-dyck"),
+        ("learned", "left", "random"),
+        ("off", "rewo"),
+        ("float32", "float64"),
+    )
+    assert [line[:4] for line in lines] == [list(case) for case in cases]
+    digests = [line[4] for line in lines]
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
+    assert len(set(digests)) == 24  # every case computes something different

@@ -9,7 +9,6 @@ from eclab.meanings import (
     encode_meaning,
     enumerate_attr_val,
     enumerate_dyck,
-    export_space,
     is_dyck,
     split,
 )
@@ -162,18 +161,3 @@ def test_split_deterministic_and_seed_sensitive():
     sp = enumerate_attr_val(3, 8)
     assert split(sp, 7) == split(sp, 7)
     assert split(sp, 7) != split(sp, 8)
-
-
-def test_export_formats(tmp_path):
-    sp = enumerate_attr_val(2, 3)
-    path = tmp_path / "attr.txt"
-    export_space(sp, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "0,0" and lines[-1] == "2,2" and len(lines) == 9
-
-    dy = enumerate_dyck(2, 2)
-    path = tmp_path / "dyck.txt"
-    export_space(dy, path)
-    lines = path.read_text().split("\n")
-    assert lines[0] == ""  # empty word
-    assert "(1 )1" in lines and "(2 )2" in lines

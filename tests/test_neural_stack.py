@@ -27,7 +27,7 @@ def build(entries, width=2, dtype=np.float64):
 
 
 def strengths_of(state):
-    return [float(s.data) for s in state.strengths]
+    return state.strengths.data.tolist()
 
 
 def test_pop_consumes_top_down():
@@ -247,9 +247,13 @@ def ref_step(strengths, values, v, u, d, r, alive=None, prev_read=None):
 
 def fused_step(strengths, values, v, u, d, r, alive=None, prev_read=None):
     batch = None if v.ndim == 1 else v.shape[0]
-    st = StackState(tuple(values), tuple(strengths), v.shape[-1], batch, np.float64)
+    st = StackState.empty(v.shape[-1], batch, np.float64)
+    for x, s in zip(values, strengths):
+        st = stack_push(st, x, s)
     st, read = stack_step(st, StackDirectives(v=v, u=u, d=d, r=r), alive, prev_read)
-    return list(st.strengths), list(st.values), read
+    column = lambda k: k if batch is None else np.full(batch, k)
+    strengths = [de.take_last(st.strengths, column(k)) for k in range(st.depth)]
+    return strengths, list(st.values), read
 
 
 def make_leaves(rng, batch, width=3, depth=3, steps=4, dust=False, ties=False):
@@ -340,6 +344,60 @@ def test_fused_step_matches_composite(batch, alive_steps, kind):
         np.testing.assert_allclose(got["grads"][k], want["grads"][k], rtol=1e-12, atol=1e-14)
 
 
+def run_both(program, leaves):
+    """``program(step, leaves) -> (loss, strengths, read)`` under the fused
+    step and under ``ref_step``: forward outputs and leaf gradients of each."""
+    out = []
+    for step in (fused_step, ref_step):
+        with Tape() as tape:
+            loss, strengths, read = program(step, leaves)
+        grads = backward(tape, loss)
+        leaf_grads = {k: grads[t] for k, t in leaves.items()}
+        out.append(([s.data for s in strengths], read.data, leaf_grads))
+    return out
+
+
+@pytest.mark.parametrize("batch, alive_steps", [(None, None), (3, None), (3, FROZEN)])
+def test_fused_step_backward_with_no_read_cotangent(batch, alive_steps):
+    # the loss reaches the strengths alone, so every read's cotangent is None
+    def program(step, leaves):
+        strengths = [leaves[f"s{i}"] for i in range(3)]
+        values = [leaves[f"x{i}"] for i in range(3)]
+        read = leaves["read0"]
+        for t in range(4):
+            alive = None if alive_steps is None else alive_steps[t]
+            args = (leaves[f"{n}{t}"] for n in "vudr")
+            strengths, values, read = step(strengths, values, *args, alive=alive, prev_read=read)
+        loss = de.reduce_sum(strengths[0])
+        for k, s in enumerate(strengths[1:]):
+            loss = de.add(loss, de.mul(de.reduce_sum(s), 0.4 + 0.1 * k))
+        return loss, strengths, read
+
+    leaves = make_leaves(np.random.default_rng(61), batch)
+    (s_got, read_got, got), (s_want, read_want, want) = run_both(program, leaves)
+    assert np.array_equal(read_got, read_want)
+    assert len(s_got) == len(s_want) and all(map(np.array_equal, s_got, s_want))
+    for k in leaves:
+        np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=1e-14)
+    assert np.all(got["r1"] == 0.0) and np.all(got["read0"] == 0.0)
+    assert np.any(got["u1"] != 0.0) and np.any(got["s0"] != 0.0)
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_fused_step_read_of_a_stack_pruned_to_empty(batch):
+    # every row pops more than the stack holds and pushes 0, so the prune
+    # leaves no entry and the read, which the loss reaches, is zero
+    leaves = make_leaves(np.random.default_rng(67), batch, steps=1)
+    lead = () if batch is None else (batch,)
+    leaves["u0"], leaves["d0"] = f64(np.full(lead, 10.0)), f64(np.zeros(lead))
+    (s_got, read_got, got), (s_want, read_want, want) = run_both(stack_program, leaves)
+    assert s_got == s_want == []
+    assert np.array_equal(read_got, read_want) and not read_got.any()
+    for k in leaves:
+        np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=1e-14)
+        assert not got[k].any(), k
+
+
 def margin_off_exact_ties(monkeypatch, f, x):
     """``kink_margin`` over the ties that are not exact. With random operands
     an exact tie is structural -- a fully popped entry that is not popped
@@ -382,14 +440,18 @@ def test_fused_step_grad_check(monkeypatch, batch, alive_steps):
     assert checked == 2
 
 
+def build_batch(leaves, batch, depth=3):
+    """A batch of stacks holding the entries ``x{i}`` with strengths ``s{i}``."""
+    st = StackState.empty(leaves["x0"].shape[-1], batch=batch, dtype=np.float64)
+    for i in range(depth):
+        st = stack_push(st, leaves[f"x{i}"], leaves[f"s{i}"])
+    return st
+
+
 def test_fused_step_frozen_rows_pass_through():
     leaves = make_leaves(np.random.default_rng(47), 3, steps=2)
     alive = np.array([True, False, True])
-    st = StackState(
-        tuple(leaves[f"x{i}"] for i in range(3)),
-        tuple(leaves[f"s{i}"] for i in range(3)),
-        3, 3, np.float64,
-    )
+    st = build_batch(leaves, 3)
     with Tape() as tape:
         out, read = stack_step(
             st,
@@ -400,9 +462,9 @@ def test_fused_step_frozen_rows_pass_through():
         loss = de.reduce_sum(read)
     # the frozen row keeps its read and strengths and pushed nothing
     np.testing.assert_array_equal(read.data[1], leaves["read0"].data[1])
-    for s_old, s_new in zip(st.strengths, out.strengths):
-        assert s_new.data[1] == s_old.data[1]
-    assert out.strengths[-1].data[1] == 0.0
+    for s_old, s_new in zip(st.strengths.data.T, out.strengths.data.T):
+        assert s_new[1] == s_old[1]
+    assert out.strengths.data[1, -1] == 0.0
     grads = backward(tape, loss)
     np.testing.assert_array_equal(grads[leaves["read0"]], [[0.0] * 3, [1.0] * 3, [0.0] * 3])
     for name in ("u0", "d0", "r0"):
@@ -418,17 +480,13 @@ def test_fused_step_prunes_dust_across_the_batch():
     out, read = stack_step(st, d)
     # the dust entry is gone; an entry alive in any row survives
     assert out.depth == 2
-    assert [s.data.tolist() for s in out.strengths] == [[0.0, 0.5], [1.0, 0.0]]
+    assert out.strengths.data.T.tolist() == [[0.0, 0.5], [1.0, 0.0]]
     np.testing.assert_allclose(read.data, [[3.0, 3.0], [0.0, 1.0]])
 
 
 def test_fused_step_is_one_tape_record():
     leaves = make_leaves(np.random.default_rng(53), 4, steps=1)
-    st = StackState(
-        tuple(leaves[f"x{i}"] for i in range(3)),
-        tuple(leaves[f"s{i}"] for i in range(3)),
-        3, 4, np.float64,
-    )
+    st = build_batch(leaves, 4)
     d = StackDirectives(v=leaves["v0"], u=leaves["u0"], d=leaves["d0"], r=leaves["r0"])
     with Tape() as tape:
         stack_step(st, d)
@@ -454,7 +512,7 @@ def test_kink_margin_sees_the_fused_step():
             assert margins[0] == margins[1] < float("inf")
     # a pop that exactly empties the top entry sits on a kink
     st = build([([1.0, 0.0], 0.5)])
-    assert kink_margin(lambda u: stack_pop(st, u).strengths[0], f64(0.5)) == 0.0
+    assert kink_margin(lambda u: stack_pop(st, u).strengths, f64(0.5)) == 0.0
 
 
 def test_alive_mask_errors():
