@@ -176,11 +176,12 @@ class LstmCell(ParamModule):
         b[hidden : 2 * hidden] = 1.0
         self.b = Tensor._wrap(b)
 
-    def step(self, x, h, c, alive=None):
-        """One step over a batch, returning ``(h2, c2)``. Rows where the
-        [B] bool ``alive`` is False (their item already finished) keep their
-        ``h`` and ``c``."""
-        return de.lstm_cell(x, h, c, self.W, self.b, alive)
+    def step(self, x, h, c, alive=None, parent=None):
+        """One step over a batch, returning ``(h2, c2)``. Row ``i`` continues
+        from row ``parent[i]`` of ``h`` and ``c`` (row ``i`` when ``parent`` is
+        None). Rows where the [B] bool ``alive`` is False (their item already
+        finished) keep that ``h`` and ``c``."""
+        return de.lstm_cell(x, h, c, self.W, self.b, alive, parent)
 
 
 def _tile_rows(vec, n):
@@ -379,8 +380,7 @@ class TokenSeqEncoder(ParamModule):
         for t in range(int(lengths.max()) if len(node) else 0):
             alive = t < lengths
             node, first, parent = _prefix_nodes(node, tokens[:, t], alive, 2 * self.space.k)
-            h, c = _to_rows(parent, h, c)
-            h, c = self.cell.step(self.emb(tokens[first, t]), h, c, alive[first])
+            h, c = self.cell.step(self.emb(tokens[first, t]), h, c, alive[first], parent)
         return _to_rows(node, h, c)
 
 
@@ -462,12 +462,13 @@ class EncodeResult:
 
     ``reads[t]`` is the stack read available *before* position t is consumed
     (``reads[0]`` is the zero vector), which is exactly what the prior head
-    conditions on for symbol t.
+    conditions on for symbol t. It is None unless the receiver has a prior or
+    the trace was asked for.
     """
 
     final_h: Tensor
     final_c: Tensor
-    reads: list
+    reads: list | None
     trace: list | None = None
     nodes: list | None = None  # per step, the [B] node index of each row
 
@@ -553,7 +554,9 @@ class Receiver(ParamModule):
         roots = n if random else 1
         h, c, read = (de.zeros((roots, self.hidden), dtype=self.dtype) for _ in range(3))
         stack = StackState.empty(self.hidden, batch=roots, dtype=self.dtype)
-        reads = [de.zeros((n, self.hidden), dtype=self.dtype)]
+        # per-row reads feed only the prior and the trace
+        want_reads = self.has_prior or want_trace
+        reads = [de.zeros((n, self.hidden), dtype=self.dtype)] if want_reads else None
         trace = [] if want_trace else None
         nodes = []
         for t in range(t_max):
@@ -562,10 +565,10 @@ class Receiver(ParamModule):
             nodes.append(node)
             m = len(first)
             live = alive[first]
-            h, c, read, s, *vs = _to_rows(parent, h, c, read, stack.strengths, *stack.values)
+            read, s, *vs = _to_rows(parent, read, stack.strengths, *stack.values)
             stack = StackState(tuple(vs), s, self.hidden)
             x = self.emb(batch.symbols[first, t])
-            h, c = self.cell.step(de.concat([x, read]), h, c, live)
+            h, c = self.cell.step(de.concat([x, read]), h, c, live, parent)
             v = de.tanh(self.to_value(h))
             if strategy is Strategy.LEARNED:
                 heads = zip((self.to_u, self.to_d, self.to_r), self.caps)
@@ -580,7 +583,8 @@ class Receiver(ParamModule):
             stack, read = stack_step(
                 stack, StackDirectives(v=v, u=u, d=d, r=r), alive=live, prev_read=read
             )
-            reads.append(_to_rows(node, read)[0])
+            if want_reads:
+                reads.append(_to_rows(node, read)[0])
             if want_trace:
                 v, u, d, r = _to_rows(node, v, u, d, r)
                 trace.append(StepTrace(v, reads[-1], u, d, r))

@@ -13,9 +13,9 @@ Every record has one shape: ``outs`` is a tuple of tensors, one for most ops
 and several for a fused op. ``backward_fn`` takes one cotangent per output,
 ``None`` for an output the loss does not reach, runs as soon as any output
 has a cotangent, and returns one cotangent (or ``None``) per input. The fused
-ops ``lstm_cell`` (one LSTM step, with its row freeze) and ``categorical``
-(the summed log-likelihood and entropy of T draws) are single records with
-a hand-written backward.
+ops ``lstm_cell`` (one LSTM step, with its row freeze and regroup) and
+``categorical`` (the summed log-likelihood and entropy of T draws) are single
+records with a hand-written backward.
 
 Shape discipline is explicit: the binary ops (``add``, ``sub``, ``mul``,
 ``maximum``, ``minimum``, all through one helper) accept equal shapes, a 0-d
@@ -416,34 +416,39 @@ def _with_rows(base, shape, rows, vals):
     return out
 
 
-def lstm_cell(x, h, c, W, b, alive=None):
+def lstm_cell(x, h, c, W, b, alive=None, parent=None):
     """One packed-gate LSTM step (gate order i, f, g, o) as a single record.
 
     ``x`` is [B, n_in], ``h`` and ``c`` are [B, H], ``W`` is [n_in + H, 4H]
-    and ``b`` is [4H]. Returns ``(h2, c2)``::
+    and ``b`` is [4H]. With ``parent``, a [B] int index, ``h`` and ``c`` may
+    have any number of rows and the step runs on ``h[parent]``, ``c[parent]``,
+    a regroup inside the record (backward scatter-adds back into those rows).
+    Returns ``(h2, c2)``::
 
         z = [x, h] @ W + b
         i, f, o = sigmoid(z_i), sigmoid(z_f), sigmoid(z_o);  g = tanh(z_g)
         c2 = f * c + i * g;  h2 = o * tanh(c2)
 
     ``alive`` is an optional [B] bool mask: rows where it is False are frozen,
-    so they return ``h`` and ``c`` unchanged and pass the cotangents of
-    ``h2``/``c2`` straight back to ``h``/``c``. Only the live rows go through
-    the gates, forward and backward. For backward the record keeps only the
-    gate activations of the live rows; its backward rebuilds ``[x, h]``,
-    ``c`` and ``tanh(c2)`` of those rows from its own inputs and outputs, with
-    the numpy calls the forward made, so the gradients are those of a record
-    that kept them.
+    returning ``h`` and ``c`` and passing the cotangents of ``h2``/``c2``
+    straight back to them; only live rows go through the gates. The record
+    keeps only the live rows' gate activations: backward rebuilds their
+    ``[x, h]``, ``c`` and ``tanh(c2)`` from its inputs and outputs with the
+    forward's numpy calls, so the gradients are those of a record that kept
+    them.
     """
-    if x.ndim != 2 or h.ndim != 2 or h.shape != c.shape or x.shape[0] != h.shape[0]:
+    n_rows = len(h.data)
+    if parent is not None and np.array_equal(parent, np.arange(n_rows)):
+        parent = None  # the identity
+    n = n_rows if parent is None else len(parent)
+    if x.ndim != 2 or h.ndim != 2 or h.shape != c.shape or x.shape[0] != n:
         raise ShapeError(
-            f"lstm_cell: incompatible shapes x {x.shape}, h {h.shape}, c {c.shape}"
+            f"lstm_cell: incompatible shapes x {x.shape}, h {h.shape}, c {c.shape} for {n} rows"
         )
     n_in, nH = x.shape[1], h.shape[1]
     if W.shape != (n_in + nH, 4 * nH) or b.shape != (4 * nH,):
         raise ShapeError(
-            f"lstm_cell: W {W.shape} and b {b.shape} do not fit "
-            f"input {n_in}, hidden {nH}"
+            f"lstm_cell: W {W.shape} and b {b.shape} do not fit input {n_in}, hidden {nH}"
         )
     dtypes = {t.data.dtype for t in (x, h, c, W, b)}
     if len(dtypes) != 1:
@@ -451,18 +456,18 @@ def lstm_cell(x, h, c, W, b, alive=None):
     rows = None  # indices of the live rows when some rows are frozen
     if alive is not None:
         alive = np.asarray(alive, dtype=bool)
-        if alive.shape != (h.shape[0],):
-            raise ShapeError(
-                f"lstm_cell: alive mask {alive.shape} for batch {h.shape[0]}"
-            )
+        if alive.shape != (n,):
+            raise ShapeError(f"lstm_cell: alive mask {alive.shape} for batch {n}")
         if not alive.all():
             rows = np.flatnonzero(alive)
+    # the rows of h and c that the live rows read
+    src = rows if parent is None else parent if rows is None else parent[rows]
 
-    def live(a):
-        return a if rows is None else a[rows]
+    def take(a, idx):
+        return a if idx is None else a[idx]
 
     def joined():
-        return np.concatenate((live(x.data), live(h.data)), axis=1)
+        return np.concatenate((take(x.data, rows), take(h.data, src)), axis=1)
 
     act = joined() @ W.data
     act += b.data
@@ -470,18 +475,18 @@ def lstm_cell(x, h, c, W, b, alive=None):
     np.tanh(act[:, 2 * nH : 3 * nH], out=act[:, 2 * nH : 3 * nH])
     _sigmoid_inplace(act[:, 3 * nH :])
     i, f, g, o = (act[:, k * nH : (k + 1) * nH] for k in range(4))
-    c2 = f * live(c.data)
+    c2 = f * take(c.data, src)
     c2 += i * g
     h2 = o * np.tanh(c2)
     if rows is not None:
-        h2 = _with_rows(h.data, h.shape, rows, h2)
-        c2 = _with_rows(c.data, c.shape, rows, c2)
+        h2 = _with_rows(take(h.data, parent), (n, nH), rows, h2)
+        c2 = _with_rows(take(c.data, parent), (n, nH), rows, c2)
     Wd = W.data
 
     def bw(gh, gc):
-        cd, tc = live(c.data), np.tanh(live(c2))
-        gh_live = None if gh is None else live(gh)
-        gc_live = None if gc is None else live(gc)
+        cd, tc = take(c.data, src), np.tanh(take(c2, rows))
+        gh_live = None if gh is None else take(gh, rows)
+        gc_live = None if gc is None else take(gc, rows)
         dz = np.empty_like(act)
         di, df, dg, do = (dz[:, k * nH : (k + 1) * nH] for k in range(4))
         if gh_live is None:
@@ -500,8 +505,10 @@ def lstm_cell(x, h, c, W, b, alive=None):
         if rows is not None:
             # frozen rows pass their cotangents straight back to h and c
             dx = _with_rows(None, x.shape, rows, dx)
-            dh = _with_rows(gh, h.shape, rows, dh)
-            dc = _with_rows(gc, c.shape, rows, dc)
+            dh = _with_rows(gh, (n, nH), rows, dh)
+            dc = _with_rows(gc, (n, nH), rows, dc)
+        if parent is not None:
+            dh, dc = (_scatter_rows(d, parent, n_rows) for d in (dh, dc))
         return dx, dh, dc, joined().T @ dz, dz.sum(axis=0)
 
     return _finish_many((h2, c2), "lstm_cell", (x, h, c, W, b), bw)
@@ -764,7 +771,8 @@ def adam_step(state, params, grads):
     """One Adam update. Returns a dict of new Tensors; inputs are not mutated.
 
     ``params`` maps name -> Tensor and ``grads`` maps name -> ndarray of the
-    same shape. ``state`` is updated in place (step count and moments).
+    same shape. ``state`` is updated in place (step count, and the moment
+    arrays are overwritten); no gradient array is, as two may share one.
     """
     state.step += 1
     t = state.step
@@ -781,12 +789,17 @@ def adam_step(state, params, grads):
         m = state.m.get(name)
         v = state.v.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        delta = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+            m = state.m[name] = np.zeros_like(p.data)
+            v = state.v[name] = np.zeros_like(p.data)
+        # in place: v = b2 * v + (1 - b2) * (g * g), m = b1 * m + (1 - b1) * g
+        # and delta = lr * (m / c1) / (sqrt(v / c2) + eps)
+        buf = np.empty_like(p.data)
+        v *= b2
+        v += np.multiply(np.multiply(g, g, out=buf), 1.0 - b2, out=buf)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=buf)
+        delta = np.divide(m, c1)
+        delta *= state.lr
+        delta /= np.add(np.sqrt(np.divide(v, c2, out=buf), out=buf), state.eps, out=buf)
         out[name] = Tensor._wrap(p.data - delta)
     return out

@@ -728,6 +728,36 @@ def test_encode_runs_one_node_per_distinct_prefix(monkeypatch):
     assert all(np.array_equal(node, np.arange(n)) for node in enc.nodes)
 
 
+def _op_names(monkeypatch):
+    # the op of each record made while the returned list is live
+    names, finish_many = [], de._finish_many
+
+    def recording(arrs, op, inputs, bw):
+        names.append(op)
+        return finish_many(arrs, op, inputs, bw)
+
+    monkeypatch.setattr(de, "_finish_many", recording)
+    return names
+
+
+def test_encode_gathers_per_row_reads_only_for_the_prior_and_the_trace(monkeypatch):
+    batch = msgs_batch(SHARED_SEQS, max_len=5)
+    t_max = batch.symbols.shape[1]
+    names, gathers, reads = _op_names(monkeypatch), {}, {}
+    for with_prior, want_trace in ((False, False), (True, False), (False, True)):
+        r = small_receiver(attr_space(), max_len=5, with_prior=with_prior)
+        names.clear()
+        with Tape():
+            enc = r.encode(batch, "learned", want_trace=want_trace)
+        gathers[with_prior, want_trace] = names.count("gather_rows")
+        reads[with_prior, want_trace] = enc.reads
+    assert reads[False, False] is None
+    assert len(reads[True, False]) == len(reads[False, True]) == t_max + 1
+    # every step of this batch shares nodes, so each per-row read is one gather
+    assert gathers[True, False] == gathers[False, False] + t_max
+    assert gathers[False, True] == gathers[False, False] + 2 * t_max
+
+
 def test_frozen_nodes_keep_the_row_level_kink_margin():
     # a finished row pushes a zero-strength entry and then pops it: a kink at
     # exactly 0 that the row-level program reports too
@@ -827,9 +857,10 @@ def test_token_encoder_runs_one_node_per_distinct_prefix(monkeypatch):
     encoder = _dyck_encoder()
     seen, step = [], encoder.cell.step
 
-    def recording(x, h, c, alive):
-        seen.append((x.shape[0], h.shape[0], int(alive.sum())))
-        return step(x, h, c, alive)
+    def recording(x, h, c, alive, parent):
+        # the rows the step runs on: its inputs', and h and c regrouped by parent
+        seen.append((x.shape[0], len(parent), int(alive.sum())))
+        return step(x, h, c, alive, parent)
 
     monkeypatch.setattr(encoder.cell, "step", recording)
     encoder(SHARED_WORDS)

@@ -616,6 +616,46 @@ def test_adam_rejects_bad_grad_shape():
         adam_step(AdamState(), p, {"w": np.zeros(4)})
 
 
+def reference_adam(state, params, grads):
+    """The update written as whole-array expressions, one new array each."""
+    state.step += 1
+    c1, c2 = 1.0 - state.beta1**state.step, 1.0 - state.beta2**state.step
+    out = {}
+    for name, p in params.items():
+        g = np.asarray(grads[name], dtype=p.dtype)
+        if state.l2:
+            g = g + state.l2 * p.data
+        m = state.m.get(name, np.zeros_like(p.data))
+        v = state.v.get(name, np.zeros_like(p.data))
+        state.m[name] = m = state.beta1 * m + (1.0 - state.beta1) * g
+        state.v[name] = v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        delta = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        out[name] = Tensor._wrap(p.data - delta)
+    return out
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_is_bit_identical_and_leaves_gradients_alone(dtype, l2):
+    rng = np.random.default_rng(61)
+    params = {n: Tensor._wrap(rng.standard_normal(s).astype(dtype)) for n, s in
+              (("w", (3, 4)), ("b", (4,)), ("s", ()))}
+    ref_params, states = dict(params), [AdamState(lr=1e-2, l2=l2), AdamState(lr=1e-2, l2=l2)]
+    for _ in range(3):
+        shared = rng.standard_normal((3, 4)).astype(dtype)
+        # "w" and "b"'s source share one array, as ``add``'s backward may hand out
+        grads = {"w": shared, "b": shared[0], "s": np.asarray(rng.standard_normal(), dtype)}
+        kept = {n: np.array(g) for n, g in grads.items()}
+        params = adam_step(states[0], params, grads)
+        ref_params = reference_adam(states[1], ref_params, grads)
+        for n in params:
+            assert params[n].data.tobytes() == ref_params[n].data.tobytes(), n
+            assert np.array_equal(grads[n], kept[n]), n
+            for moments in ("m", "v"):
+                a, b = getattr(states[0], moments)[n], getattr(states[1], moments)[n]
+                assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # fused LSTM cell
 
@@ -719,6 +759,68 @@ def test_lstm_cell_frozen_rows_pass_through(alive):
     if not alive.any():
         np.testing.assert_array_equal(grads[args["W"]], 0.0)
         np.testing.assert_array_equal(grads[args["b"]], 0.0)
+
+
+# a regroup that reads rows 0 and 2 twice and skips row 3
+PARENT = np.array([2, 0, 0, 1, 2, 4])
+PARENT_CASES = [
+    (None, ("h2", "c2")), (None, ("h2",)), (None, ("c2",)),
+    (np.array([True, False, True, True, False, True]), ("h2", "c2")),
+    (np.array([True, False, True, True, False, True]), ("h2",)),
+    (np.array([False, True, True, False, True, True]), ("c2",)),
+]
+
+
+@pytest.mark.parametrize(
+    "alive,use", PARENT_CASES,
+    ids=["+".join(u) + ("" if a is None else "-frozen_rows") for a, u in PARENT_CASES],
+)
+def test_lstm_cell_parent_equals_a_gather_then_the_step(alive, use):
+    rng = np.random.default_rng(59)
+    args = lstm_inputs(rng, batch=5)
+    args["x"] = f64(rng.standard_normal((6, 3)))
+    wh, wc = f64(rng.standard_normal((6, 5))), f64(rng.standard_normal((6, 5)))
+    results = []
+    for fold in (True, False):
+        with Tape() as tape:
+            if fold:
+                h2, c2 = de.lstm_cell(**args, alive=alive, parent=PARENT)
+            else:
+                h, c = de.gather_rows((args["h"], args["c"]), PARENT)
+                h2, c2 = de.lstm_cell(args["x"], h, c, args["W"], args["b"], alive)
+            loss = lstm_loss(h2, c2, wh, wc, use)
+        assert len(tape) == (1 if fold else 2) + len(use) * 2 + (len(use) - 1)
+        grads = backward(tape, loss)
+        results.append([h2.data, c2.data] + [grads[args[n]] for n in LSTM_NAMES])
+    for name, a, b in zip(("h2", "c2") + LSTM_NAMES, *results):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all_alive", "frozen_rows"])
+@pytest.mark.parametrize("wrt", ["h", "c"])
+def test_lstm_cell_parent_grad_check(wrt, masked):
+    rng = np.random.default_rng([len(wrt), ord(wrt[0]), masked, 1])
+    args = lstm_inputs(rng, batch=5)
+    args["x"] = f64(rng.standard_normal((6, 3)))
+    alive = np.array([True, False, True, True, False, True]) if masked else None
+    wh, wc = f64(rng.standard_normal((6, 5))), f64(rng.standard_normal((6, 5)))
+
+    def f(t):
+        h2, c2 = de.lstm_cell(**dict(args, **{wrt: t}), alive=alive, parent=PARENT)
+        return lstm_loss(h2, c2, wh, wc)
+
+    assert grad_check(f, args[wrt]) < 1e-6
+
+
+def test_lstm_cell_identity_parent_is_no_parent():
+    args = lstm_inputs(np.random.default_rng(67))
+    plain = de.lstm_cell(**args)
+    same = de.lstm_cell(**args, parent=np.arange(4))
+    assert all(a.data.tobytes() == b.data.tobytes() for a, b in zip(plain, same))
+    with pytest.raises(ShapeError, match="lstm_cell"):
+        de.lstm_cell(**args, parent=np.array([0, 1, 2]))
+    with pytest.raises(IndexError):
+        de.lstm_cell(**args, parent=np.array([0, 1, 2, 4]))
 
 
 def test_lstm_cell_is_one_tape_node():

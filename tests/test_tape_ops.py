@@ -82,10 +82,11 @@ def test_lstm_cell_records_hold_no_more_than_their_gates_and_outputs(preset, mon
     allowed = []
     cell = de.lstm_cell
 
-    def sized(x, h, c, W, b, alive=None):
-        n_live = h.shape[0] if alive is None else int(np.count_nonzero(alive))
-        allowed.append((n_live * 4 + 2 * h.shape[0]) * h.shape[1] * h.data.itemsize + 4096)
-        return cell(x, h, c, W, b, alive)
+    def sized(x, h, c, W, b, alive=None, parent=None):
+        # a step's rows are its inputs' (the parent index regroups h and c into them)
+        n_live = x.shape[0] if alive is None else int(np.count_nonzero(alive))
+        allowed.append((n_live * 4 + 2 * x.shape[0]) * h.shape[1] * h.data.itemsize + 4096)
+        return cell(x, h, c, W, b, alive, parent)
 
     monkeypatch.setattr(de, "lstm_cell", sized)
     config = replace(runner.resolve_preset(preset), batch_size=64, hidden=64)
