@@ -16,20 +16,19 @@ running each item on its own). The LSTM cells and ``stack_step`` take the
 bool ``alive`` mask directly: a frozen row keeps its h and c, pops and pushes
 nothing and keeps its last read, inside the fused op.
 
-An LSTM's state after step t depends only on the token prefix up to t, so
-both token LSTMs, the sender's Dyck encoder (``TokenSeqEncoder``) and the
-receiver (``Receiver.encode``), run each step on *nodes*, one per distinct
-prefix, rather than on rows: step t has at most min(S^(t+1), B) of them for
-S symbols and batch B, built by the one helper ``_prefix_nodes``. Rows whose
-sequence has ended stay as frozen nodes (``alive`` False), so pruning and
-kink margins see the same program as a row-level encode. ``_to_rows``
-gathers a node's state from its parent's and the outputs back to rows. The
-random strategy draws per row, so it starts from one node per row and its
-nodes stay the rows: no gather runs.
+An LSTM's state after step t depends only on its root and the symbol prefix
+up to t, so all four LSTMs run each step on *nodes*, one per distinct (root,
+prefix), keyed by ``_prefix_nodes``: the sender's Dyck encoder and the
+receiver from one root, and, in the one loop ``_unroll``, the sender's
+emission and scoring from the encoder's nodes and the Dyck decoder from the
+receiver's last nodes. Ended rows stay as frozen nodes (``alive`` False), so
+pruning and kink margins see the program of a loop over rows. ``lstm_cell``
+regroups h and c from the parent nodes in its record; ``_to_rows`` gathers
+the rest to parents or rows. Where the roots are distinct and in row order,
+as under the random strategy (its draws are per row, so its nodes stay the
+rows), every map is the identity and no gather runs.
 
-One decoding loop, ``_unroll``, serves the sender's emission and scoring and
-the Dyck receiver's teacher-forced log-likelihood and greedy decoding. Each of
-log S with entropy H, log R and the prior's log P is one
+Each of log S with entropy H, log R and the prior's log P is one
 ``diffengine.categorical`` record over per-step logits. Meanings enter as
 tuples and are turned into int rows by ``MeaningSpace.rows``. Both agents
 are built from a ``game.GameConfig``, the one place their settings are
@@ -177,37 +176,51 @@ class LstmCell(ParamModule):
         self.b = Tensor._wrap(b)
 
     def step(self, x, h, c, alive=None, parent=None):
-        """One step over a batch, returning ``(h2, c2)``. Row ``i`` continues
-        from row ``parent[i]`` of ``h`` and ``c`` (row ``i`` when ``parent`` is
-        None). Rows where the [B] bool ``alive`` is False (their item already
-        finished) keep that ``h`` and ``c``."""
+        """One step, returning ``(h2, c2)``: row ``i`` continues from row
+        ``parent[i]`` of ``h`` and ``c`` (row ``i`` without ``parent``), and rows
+        where the [B] bool ``alive`` is False (their item finished) keep it."""
         return de.lstm_cell(x, h, c, self.W, self.b, alive, parent)
 
 
-def _tile_rows(vec, n):
-    return de.add_bias(de.zeros((n, vec.shape[0]), dtype=vec.dtype), vec)
+@dataclass
+class NodeState:
+    """An LSTM state on nodes, ``h`` and ``c`` [N, hidden], and each row's node
+    ``node`` [B]. Unpacks to the per-row (h, c); ``of`` takes such a pair as is."""
+
+    h: Tensor
+    c: Tensor
+    node: np.ndarray
+
+    @classmethod
+    def of(cls, state):
+        return state if isinstance(state, cls) else cls(*state, np.arange(state[0].shape[0]))
+
+    def __iter__(self):
+        return iter(_to_rows(self.node, self.h, self.c))
 
 
 def _unroll(cell, emb, out, state, steps, stop, next_symbol):
-    """The decoding loop of the sender and of the Dyck decoder.
+    """The decoding loop of the sender and of the Dyck decoder, on nodes.
 
-    Step t feeds the previous symbol (zeros at t = 0) to ``cell``, projects
-    ``h`` with ``out`` and picks with ``next_symbol(t, logits array) -> [B]
-    ints``. A row that picked ``stop`` is frozen and repeats ``stop``; the
-    loop ends after ``steps`` steps or once every row has stopped. Returns
-    int symbols [B, T], the bool [B, T] mask of rows still running at each
-    step (their ``stop`` step included) and the T [B, V] logit tensors.
+    From the root ``NodeState``, step t feeds each node its previous symbol
+    (zeros at t = 0) and projects its ``h`` with ``out``; one gather hands the
+    logits to the rows, where ``next_symbol(t, [B, V] array) -> [B] ints``
+    picks. A row that picked ``stop`` is frozen and repeats ``stop``; the loop
+    ends after ``steps`` steps or once every row has stopped. Returns symbols
+    [B, T], the bool [B, T] mask of rows running at each step (their ``stop``
+    step included) and the T [B, V] logit tensors.
     """
-    h, c = state
-    n = h.shape[0]
-    alive = np.ones(n, dtype=bool)
-    x = de.zeros((n, emb.table.shape[1]), dtype=h.dtype)
+    h, c, node = state.h, state.c, state.node
+    alive = np.ones(len(node), dtype=bool)
+    x = de.zeros((h.shape[0], emb.table.shape[1]), dtype=h.dtype)
+    live = parent = None
     symbols, alives, logits = [], [], []
     for t in range(steps):
         if t > 0:
-            x = emb(symbols[-1])
-        h, c = cell.step(x, h, c, alive)
-        z = out(h)
+            node, first, parent = _prefix_nodes(node, symbols[-1], alive, emb.table.shape[0])
+            x, live = emb(symbols[-1][first]), alive[first]
+        h, c = cell.step(x, h, c, live, parent)
+        (z,) = _to_rows(node, out(h))
         sym = np.where(alive, next_symbol(t, z.data), stop)
         symbols.append(sym)
         alives.append(alive)
@@ -335,7 +348,8 @@ class EmitResult:
 
 
 class OneHotEncoder(ParamModule):
-    """Attribute-value meanings -> initial (h, c) via a linear map."""
+    """Attribute-value meanings -> initial (h, c) via a linear map, on one
+    node per distinct meaning (in sorted order, as ``split`` lists them)."""
 
     _subs = ("lin",)
 
@@ -346,20 +360,21 @@ class OneHotEncoder(ParamModule):
         self.lin = Linear(rng, space.n_att * space.n_val, 2 * hidden, dtype)
 
     def __call__(self, meanings):
+        values, node = np.unique(self.space.rows(meanings)[0], axis=0, return_inverse=True)
         # the one-hot rows of ``encode_meaning``, set by one scatter
-        values, _ = self.space.rows(meanings)
         n_att, n_val = self.space.n_att, self.space.n_val
         rows = np.zeros((len(values), n_att * n_val), dtype=self.dtype)
         rows[np.arange(len(values))[:, None], np.arange(n_att) * n_val + values] = 1.0
         hc = self.lin(Tensor._wrap(rows))
-        return (
+        return NodeState(
             de.slice_last(hc, 0, self.hidden),
             de.slice_last(hc, self.hidden, 2 * self.hidden),
+            node,
         )
 
 
 class TokenSeqEncoder(ParamModule):
-    """Dyck meanings -> final (h, c) of an LSTM over the bracket tokens."""
+    """Dyck meanings -> final (h, c) of an LSTM over the bracket tokens, on its nodes."""
 
     _params = ("h0", "c0")
     _subs = ("emb", "cell")
@@ -376,12 +391,13 @@ class TokenSeqEncoder(ParamModule):
         # nodes grow from one root; ended words stay frozen on the padding token 0
         tokens, lengths = self.space.rows(meanings)
         node = np.zeros(len(lengths), dtype=np.int64)
-        h, c = (_tile_rows(v, min(len(node), 1)) for v in (self.h0, self.c0))
+        root = de.zeros((min(len(node), 1), self.h0.shape[0]), dtype=self.dtype)
+        h, c = (de.add_bias(root, v) for v in (self.h0, self.c0))
         for t in range(int(lengths.max()) if len(node) else 0):
             alive = t < lengths
             node, first, parent = _prefix_nodes(node, tokens[:, t], alive, 2 * self.space.k)
             h, c = self.cell.step(self.emb(tokens[first, t]), h, c, alive[first], parent)
-        return _to_rows(node, h, c)
+        return NodeState(h, c, node)
 
 
 class Sender(ParamModule):
@@ -405,15 +421,15 @@ class Sender(ParamModule):
         self.out = Linear(rng, hidden, vocab, dtype)
 
     def encode(self, meanings):
-        """Initial LSTM state (h, c), each [B, hidden]."""
+        """Initial state, a ``NodeState`` (unpacks to (h, c), each [B, hidden])."""
         return self.encoder(meanings)
 
-    def _unroll(self, state, next_symbol):
-        return _unroll(self.cell, self.emb, self.out, state, self.max_len, EOS, next_symbol)
+    def _unroll(self, state, pick):
+        return _unroll(self.cell, self.emb, self.out, NodeState.of(state), self.max_len, EOS, pick)
 
     def emit(self, state, mode="sample", rng=None):
-        """Roll the policy out. ``mode`` is "sample" (needs ``rng``) or
-        "greedy"; either way emission stops at EOS or ``max_len``."""
+        """Roll the policy out from ``encode``'s state or an (h, c) pair. ``mode``
+        is "sample" (needs ``rng``) or "greedy"; emission stops at EOS or ``max_len``."""
         if mode == "sample":
             if rng is None:
                 raise AgentError("sampling emission needs an rng")
@@ -430,7 +446,7 @@ class Sender(ParamModule):
     def score(self, state, messages):
         """Log S(m | state) for given messages, [B] on the active tape."""
         batch = as_message_batch(messages, self.max_len, self.vocab)
-        n = state[0].shape[0]
+        n = len(NodeState.of(state).node)
         if len(batch) != n:
             raise AgentError(f"scored {len(batch)} messages against {n} states")
         symbols, alive, logits = self._unroll(state, lambda t, z: batch.symbols[:, t])
@@ -462,15 +478,24 @@ class EncodeResult:
 
     ``reads[t]`` is the stack read available *before* position t is consumed
     (``reads[0]`` is the zero vector), which is exactly what the prior head
-    conditions on for symbol t. It is None unless the receiver has a prior or
-    the trace was asked for.
+    conditions on for symbol t (None unless there is a prior or a trace). ``h``
+    and ``c`` are on the last nodes; ``final_h``/``final_c`` gather them to rows.
     """
 
-    final_h: Tensor
-    final_c: Tensor
+    h: Tensor
+    c: Tensor
     reads: list | None
     trace: list | None = None
-    nodes: list | None = None  # per step, the [B] node index of each row
+    nodes: list | None = None  # per step, the [B] node index of each row (None: rows)
+
+    @property
+    def state(self):
+        node = np.arange(self.h.shape[0]) if self.nodes is None else self.nodes[-1]
+        return NodeState(self.h, self.c, node)
+
+    final = functools.cached_property(lambda self: tuple(self.state))
+    final_h = property(lambda self: self.final[0])
+    final_c = property(lambda self: self.final[1])
 
 
 class Receiver(ParamModule):
@@ -515,6 +540,7 @@ class Receiver(ParamModule):
             self.dec_emb = Embedding(rng, n_tok, embedding, dtype)
             self.dec_cell = LstmCell(rng, embedding, hidden, dtype)
             self.dec_out = Linear(rng, hidden, n_tok, dtype)
+        self.decoder = (self.dec_cell, self.dec_emb, self.dec_out)  # for ``_unroll``
         # created last so configurations with and without a prior draw
         # identical initial values for every shared parameter
         rewo = config.beta_mode == "rewo"
@@ -536,8 +562,8 @@ class Receiver(ParamModule):
         ``random_resample``; draws come from ``rng`` and bypass the tape.
 
         Each step runs once per distinct message prefix (see the module
-        docstring); the returned states, reads and traces are per row, and
-        ``nodes[t]`` maps each row to its node at step t.
+        docstring); the returned reads and traces are per row, the state is
+        on the last nodes, and ``nodes[t]`` maps each row to its node at step t.
         """
         batch = as_message_batch(messages, self.max_len, self.vocab)
         strategy = Strategy.parse(strategy)
@@ -554,7 +580,6 @@ class Receiver(ParamModule):
         roots = n if random else 1
         h, c, read = (de.zeros((roots, self.hidden), dtype=self.dtype) for _ in range(3))
         stack = StackState.empty(self.hidden, batch=roots, dtype=self.dtype)
-        # per-row reads feed only the prior and the trace
         want_reads = self.has_prior or want_trace
         reads = [de.zeros((n, self.hidden), dtype=self.dtype)] if want_reads else None
         trace = [] if want_trace else None
@@ -563,7 +588,6 @@ class Receiver(ParamModule):
             alive = t < batch.lengths
             node, first, parent = _prefix_nodes(node, batch.symbols[:, t], alive, self.vocab)
             nodes.append(node)
-            m = len(first)
             live = alive[first]
             read, s, *vs = _to_rows(parent, read, stack.strengths, *stack.values)
             stack = StackState(tuple(vs), s, self.hidden)
@@ -574,7 +598,7 @@ class Receiver(ParamModule):
                 heads = zip((self.to_u, self.to_d, self.to_r), self.caps)
                 u, d, r = (de.mul(de.sigmoid(head(h)), k) for head, k in heads)
             elif strategy is Strategy.LEFT_BRANCHING:
-                u = d = r = Tensor._wrap(np.ones(m, dtype=self.dtype))
+                u = d = r = Tensor._wrap(np.ones(len(first), dtype=self.dtype))
             elif frozen_draws is not None:
                 u, d, r = frozen_draws
             else:
@@ -588,13 +612,12 @@ class Receiver(ParamModule):
             if want_trace:
                 v, u, d, r = _to_rows(node, v, u, d, r)
                 trace.append(StepTrace(v, reads[-1], u, d, r))
-        final_h, final_c = _to_rows(node, h, c)
-        return EncodeResult(final_h, final_c, reads, trace, nodes)
+        return EncodeResult(h, c, reads, trace, nodes)
 
     def reconstruct_logprob(self, enc, meanings):
         """log R(meaning | final state), [B] on the active tape: one step per
         attribute head, or the Dyck decoder teacher-forced on a word, then END."""
-        n = enc.final_h.shape[0]
+        n = len(enc.state.node)
         if len(meanings) != n:
             raise AgentError(f"got {len(meanings)} meanings for {n} encodings")
         ints, lengths = self.space.rows(meanings)
@@ -605,38 +628,28 @@ class Receiver(ParamModule):
             t_tot = int(lengths.max()) + 1
             tokens = np.pad(ints[:, : t_tot - 1], ((0, 0), (0, 1)))
             targets = np.where(np.arange(t_tot) < lengths[:, None], tokens, 2 * self.space.k)
-            symbols, alive, logits = self._dyck_decode(
-                (enc.final_h, enc.final_c), t_tot, lambda t, z: targets[:, t]
+            symbols, alive, logits = _unroll(
+                *self.decoder, enc.state, t_tot, 2 * self.space.k, lambda t, z: targets[:, t]
             )
         return de.categorical(logits, symbols, alive)[0]
-
-    def _dyck_decode(self, state, steps, next_symbol):
-        return _unroll(
-            self.dec_cell, self.dec_emb, self.dec_out,
-            state, steps, 2 * self.space.k, next_symbol,
-        )
 
     def greedy_decode(self, enc):
         """Most-likely meaning per item under the reconstruction heads.
 
-        Rows that read one message share its final state, so each distinct
-        final node decodes once. Dyck words decode token by token until END
-        (or ``l_max`` tokens); a row that has produced END is frozen, so the
+        Rows that read one message share its final node, so each node
+        decodes once. Dyck words decode token by token until END (or
+        ``l_max`` tokens); a row that has produced END is frozen, so the
         decoder LSTM runs only on the rows still decoding."""
-        n = enc.final_h.shape[0]
-        node = enc.nodes[-1] if enc.nodes else np.arange(n)
-        first = np.unique(node, return_index=True)[1]
-        h = Tensor._wrap(enc.final_h.data[first])
+        node = enc.state.node
         if self.space.kind == "attr_val":
-            picks = np.stack([head(h).data.argmax(axis=1) for head in self.heads], axis=1)
+            picks = np.stack([head(enc.h).data.argmax(axis=1) for head in self.heads], axis=1)
             words = [tuple(p) for p in picks.tolist()]
         elif self.space.l_max == 0:
-            return [()] * n
+            return [()] * len(node)
         else:
-            c = Tensor._wrap(enc.final_c.data[first])
-            symbols, alive, _ = self._dyck_decode(
-                (h, c), self.space.l_max, lambda t, z: z.argmax(axis=1)
-            )
+            roots, end = NodeState.of((enc.h, enc.c)), 2 * self.space.k
+            pick = lambda t, z: z.argmax(axis=1)
+            symbols, alive, _ = _unroll(*self.decoder, roots, self.space.l_max, end, pick)
             # a word is its symbols up to, not including, END
             sizes = (alive & (symbols != 2 * self.space.k)).sum(axis=1)
             words = [tuple(w[:m]) for w, m in zip(symbols.tolist(), sizes.tolist())]

@@ -6,6 +6,8 @@ import itertools
 import pathlib
 import re
 
+import numpy as np
+
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "tools" / "grad_hash.py"
 spec = importlib.util.spec_from_file_location("grad_hash", SCRIPT)
 grad_hash = importlib.util.module_from_spec(spec)
@@ -29,3 +31,20 @@ def test_prints_one_stable_digest_per_case(capsys):
     digests = [line[4] for line in lines]
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
     assert len(set(digests)) == 24  # every case computes something different
+
+
+def test_save_then_against_one_tree_prints_zero_for_every_case(tmp_path, capsys):
+    path = tmp_path / "tree.npz"
+    assert grad_hash.main(["--save", str(path)]) == 0
+    saved = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert grad_hash.main(["--against", str(path)]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[:5] for line in lines] == saved  # the sha256 lines stay
+    assert [line[5] for line in lines] == ["0.0"] * 24
+
+
+def test_max_rel_diff_scales_by_the_saved_array():
+    saved = {"0/w": np.array([2.0, -4.0]), "0/stats": np.array([1.0, np.nan])}
+    assert grad_hash.max_rel_diff({k: v.copy() for k, v in saved.items()}, saved) == 0.0
+    assert grad_hash.max_rel_diff({"0/w": np.array([2.0, -3.0])}, saved) == 0.25
+    assert grad_hash.max_rel_diff({"0/stats": np.array([1.0, 0.0])}, saved) == np.inf

@@ -28,9 +28,14 @@ def _table(capsys, preset, *sets):
     for line in capsys.readouterr().out.splitlines():
         op, records, rows, held = line.split()
         table[op], mb[op] = (int(records), int(rows)), float(held)
-    assert table.pop("total") == tuple(map(sum, zip(*table.values())))
+    cells = [op for op in table if op.startswith("lstm_cell:")]
+    # the split by cell adds up to the lstm_cell line, records and rows
+    assert tuple(map(sum, zip(*(table[op] for op in cells)))) == table["lstm_cell"]
+    assert sum(mb[op] for op in cells) == pytest.approx(mb["lstm_cell"], abs=0.005 * (len(cells) + 1))
+    ops = {op: v for op, v in table.items() if op not in cells and op != "total"}
+    assert table["total"] == tuple(map(sum, zip(*ops.values())))
     # each MB is rounded to 0.01 on its own
-    assert mb.pop("total") == pytest.approx(sum(mb.values()), abs=0.005 * (len(mb) + 1))
+    assert mb["total"] == pytest.approx(sum(mb[op] for op in ops), abs=0.005 * (len(ops) + 1))
     return table
 
 
@@ -71,8 +76,10 @@ def test_lstm_cell_rows_drop_by_the_shared_word_prefixes(capsys, monkeypatch):
     nodes = sum(len({(w[: t + 1], len(w) > t) for w in words}) for t in range(steps))
     # as many records, and the encoder's rows fall from 64 per step to the
     # distinct prefixes of each step
+    encoder = "lstm_cell:sender.encoder.cell"
     assert shared["lstm_cell"][0] == per_row["lstm_cell"][0]
-    assert per_row["lstm_cell"][1] - shared["lstm_cell"][1] == 64 * steps - nodes > 0
+    assert shared[encoder][0] == per_row[encoder][0] == steps
+    assert per_row[encoder][1] - shared[encoder][1] == 64 * steps - nodes > 0
 
 
 @pytest.mark.parametrize("preset", ["smoke-attrval", "smoke-dyck"])
@@ -90,6 +97,18 @@ def test_lstm_cell_records_hold_no_more_than_their_gates_and_outputs(preset, mon
 
     monkeypatch.setattr(de, "lstm_cell", sized)
     config = replace(runner.resolve_preset(preset), batch_size=64, hidden=64)
-    counts, _, held = tape_ops.count_ops(config)
+    counts, _, held, _ = tape_ops.count_ops(config)
     assert counts["lstm_cell"] == len(allowed) > 0
     assert 0 < held["lstm_cell"] <= sum(allowed)
+
+
+@pytest.mark.parametrize(
+    "preset,cells",
+    [
+        ("smoke-attrval", ["sender.cell", "receiver.cell"]),
+        ("smoke-dyck", ["sender.encoder.cell", "sender.cell", "receiver.cell", "receiver.dec_cell"]),
+    ],
+)
+def test_lstm_cell_rows_split_by_cell(capsys, preset, cells):
+    table = _table(capsys, preset, "batch_size=32", "hidden=16")  # checks the sums
+    assert [op for op in table if op.startswith("lstm_cell:")] == [f"lstm_cell:{c}" for c in cells]

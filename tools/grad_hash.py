@@ -1,6 +1,6 @@
 """Print one sha256 per training case over three steps' gradients and stats.
 
-    PYTHONPATH=src python3 tools/grad_hash.py
+    PYTHONPATH=src python3 tools/grad_hash.py [--save FILE.npz] [--against FILE.npz]
 
 The cases are smoke-attrval and smoke-dyck × learned/left/random ×
 beta_mode off/rewo × float32/float64, at hidden 32 and batch 64. Each case
@@ -13,10 +13,18 @@ and every ``StepStats`` field of the three steps. Each line reads
 Two trees compute the same numbers exactly when their outputs are the same,
 so a refactor that should not change a bit is checked by running this
 script on both trees and comparing the two outputs with ``diff``.
+
+A change that may move round-off is checked against the numbers instead.
+``--save FILE.npz`` writes every gradient and stat the digests cover, and
+``--against FILE.npz`` (written by ``--save`` on another tree) adds to each
+line the case's largest relative difference: over its arrays, the largest
+``max|a - b| / max|b|``, where a NaN on both sides counts as equal and a NaN
+on one side as infinitely far.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -44,8 +52,10 @@ DTYPES = (np.float32, np.float64)
 STEPS = 3
 
 
-def case_digest(preset, strategy, beta_mode, dtype):
-    """sha256 hex digest of ``STEPS`` steps of one case."""
+def run_case(preset, strategy, beta_mode, dtype):
+    """sha256 hex digest of ``STEPS`` steps of one case, and the arrays it
+    covers: ``<step>/<parameter>`` gradients and ``<step>/stats``, the
+    ``StepStats`` fields as float64 (None as NaN)."""
     config = runner.resolve_preset(
         preset, strategy=strategy, beta_mode=beta_mode, hidden=32, batch_size=64
     )
@@ -58,8 +68,8 @@ def case_digest(preset, strategy, beta_mode, dtype):
     baseline = BaselineState(decay=config.baseline_decay)
     rewo = RewoState.from_config(config) if beta_mode == "rewo" else None
     beta = rewo.beta if rewo else 0.0
-    digest = hashlib.sha256()
-    for _ in range(STEPS):
+    digest, arrays = hashlib.sha256(), {}
+    for step in range(STEPS):
         picks = streams["batch"].integers(0, len(train_idx), size=config.batch_size)
         meanings = [space.meanings[train_idx[i]] for i in picks]
         stats, grads, baseline = play_batch(
@@ -69,23 +79,52 @@ def case_digest(preset, strategy, beta_mode, dtype):
         for name in sorted(grads):
             digest.update(name.encode())
             digest.update(grads[name].tobytes())
-        digest.update(repr(dataclasses.astuple(stats)).encode())
+            arrays[f"{step}/{name}"] = grads[name]
+        fields = dataclasses.astuple(stats)
+        digest.update(repr(fields).encode())
+        arrays[f"{step}/stats"] = np.array([np.nan if v is None else v for v in fields])
         params = adam_step(opt, params, grads)
         load_parameters(sender, receiver, params)
         if rewo:
             rewo = rewo_update(rewo, stats.recon_loss)
             beta = rewo.beta
-    return digest.hexdigest()
+    return digest.hexdigest(), arrays
 
 
-def main():
-    for preset, strategy, beta_mode, dtype in itertools.product(
-        PRESETS, STRATEGIES, BETA_MODES, DTYPES
-    ):
-        digest = case_digest(preset, strategy, beta_mode, dtype)
-        print(preset, strategy, beta_mode, np.dtype(dtype).name, digest)
+def max_rel_diff(arrays, saved):
+    worst = 0.0
+    for key, a in arrays.items():
+        a, b = a.astype(np.float64), saved[key].astype(np.float64)
+        if (np.isnan(a) != np.isnan(b)).any():
+            return np.inf
+        a, b = np.where(np.isnan(a), 0.0, a), np.where(np.isnan(b), 0.0, b)
+        diff, scale = np.abs(a - b).max(initial=0.0), np.abs(b).max(initial=0.0)
+        if diff:
+            worst = max(worst, diff / scale if scale else np.inf)
+    return worst
+
+
+def main(argv=()):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--save", metavar="FILE.npz")
+    parser.add_argument("--against", metavar="FILE.npz")
+    args = parser.parse_args(argv)
+    saved = dict(np.load(args.against)) if args.against else None
+    everything = {}
+    for case in itertools.product(PRESETS, STRATEGIES, BETA_MODES, DTYPES):
+        digest, arrays = run_case(*case)
+        line = [*case[:3], np.dtype(case[3]).name]
+        prefix = "/".join(line) + "/"
+        everything.update({prefix + key: a for key, a in arrays.items()})
+        if saved is not None:
+            diff = max_rel_diff(arrays, {k: saved[prefix + k] for k in arrays})
+            print(*line, digest, diff)
+        else:
+            print(*line, digest)
+    if args.save:
+        np.savez(args.save, **everything)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

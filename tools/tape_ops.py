@@ -8,9 +8,12 @@ Builds the preset's agents (``--set`` overrides a RunConfig field, as for
 one ``game.play_batch`` in float32 and prints, per op, how many records it
 put on the tape, the summed leading-axis size of their first outputs (1
 for a 0-d output) and the MB (2**20 bytes) the forward held for them, most
-records first, then the totals. The rows show how many nodes or rows a
-record runs on: the ``lstm_cell`` rows of a Dyck preset drop when its LSTMs
-run once per distinct prefix, though the records do not.
+records first, then the totals, then the ``lstm_cell`` line split by cell
+(``lstm_cell:<cell>``, the cell's parameter prefix in
+``game.joint_parameters``: the sender's encoder and emission, the receiver
+and its decoder). The rows show how many nodes or rows a record runs on:
+the ``lstm_cell`` rows drop when an LSTM runs once per distinct prefix,
+though the records do not.
 
 The MB come from ``tracemalloc``, which sees numpy's buffers. It traces the
 forward, from the start of ``play_batch`` to its call of ``backward``; the
@@ -37,25 +40,37 @@ from eclab.meanings import split
 def count_ops(config):
     """``Counter``s of op name -> records on the tape of one ``play_batch``,
     op name -> summed leading-axis size of those records' first outputs, and
-    op name -> bytes of traced growth counted to those records."""
+    op name -> bytes of traced growth counted to those records; and the same
+    three for the ``lstm_cell`` records of each cell, as a dict of cell name
+    -> [records, rows, bytes]."""
     space = runner.build_space(config)
     train_idx, _ = split(space, seed=runner.stream_seed(config.seed, "split"))
     streams = runner.seed_streams(config.seed)
     picks = streams["batch"].integers(0, len(train_idx), size=config.batch_size)
     meanings = [space.meanings[train_idx[i]] for i in picks]
     sender, receiver = build_agents(space, config, streams["init"])
+    cells = {
+        id(t): name[: -len(".W")]
+        for name, t in game.joint_parameters(sender, receiver).items()
+        if name.endswith("cell.W")
+    }
     counts, rows, held = (collections.Counter() for _ in range(3))
+    by_cell = collections.defaultdict(lambda: [0, 0, 0])
     finish_many, backward = de._finish_many, game.backward
     last = [0]  # traced bytes at the previous record
 
     def counted(arrs, op, inputs, bw):
         outs = finish_many(arrs, op, inputs, bw)
         if de._TAPES:
-            counts[op] += 1
-            rows[op] += arrs[0].shape[0] if arrs[0].ndim else 1
             now = tracemalloc.get_traced_memory()[0]
-            held[op] += now - last[0]
+            record = (1, arrs[0].shape[0] if arrs[0].ndim else 1, now - last[0])
             last[0] = now
+            for table, value in zip((counts, rows, held), record):
+                table[op] += value
+            if op == "lstm_cell":
+                cell = by_cell[cells[id(inputs[3])]]
+                for k, value in enumerate(record):
+                    cell[k] += value
         return outs
 
     def untraced_backward(*args, **kwargs):
@@ -77,7 +92,7 @@ def count_ops(config):
     finally:
         tracemalloc.stop()
         de._finish_many, game.backward = finish_many, backward
-    return counts, rows, held
+    return counts, rows, held, dict(by_cell)
 
 
 def main(argv=None):
@@ -90,11 +105,13 @@ def main(argv=None):
         config = replace(runner.resolve_preset(args.preset), **updates)
     except ValueError as exc:
         parser.error(str(exc))
-    counts, rows, held = count_ops(config)
-    for op, n in counts.most_common():
-        print(f"{op:<12} {n:>6} {rows[op]:>9} {held[op] / 2**20:>10.2f}")
-    total = sum(held.values()) / 2**20
-    print(f"{'total':<12} {sum(counts.values()):>6} {sum(rows.values()):>9} {total:>10.2f}")
+    counts, rows, held, by_cell = count_ops(config)
+    lines = [(op, n, rows[op], held[op]) for op, n in counts.most_common()]
+    lines.append(("total", sum(counts.values()), sum(rows.values()), sum(held.values())))
+    lines += [(f"lstm_cell:{cell}", *v) for cell, v in by_cell.items()]
+    width = max(len(op) for op, *_ in lines)
+    for op, n, r, b in lines:
+        print(f"{op:<{width}} {n:>6} {r:>9} {b / 2**20:>10.2f}")
     return 0
 
 
