@@ -915,6 +915,26 @@ def _sampler(rng):
     return lambda t, z: agents_module._sample_rows(np.exp(de.log_softmax_array(z)[0]), rng)
 
 
+def _emit_on_nodes(s, state, mode, batch):
+    if mode == "score":
+        return (s.score(state, batch),)
+    res = s.emit(state, mode, rng=np.random.default_rng(5))
+    return res.batch.symbols, res.log_probs, res.entropies, res.step_log_probs, res.step_entropies
+
+
+def _emit_on_rows(s, state, mode, batch):
+    if mode == "score":
+        pick = lambda t, z: batch.symbols[:, t]
+    elif mode == "sample":
+        pick = _sampler(np.random.default_rng(5))
+    else:
+        pick = lambda t, z: de.log_softmax_array(z)[0].argmax(axis=1)
+    h, c = state
+    symbols, alive, logits = row_unroll(s.cell, s.emb, s.out, h, c, s.max_len, EOS, pick)
+    logp, ent, step_lp, step_ent = de.categorical(logits, symbols, alive)
+    return (logp,) if mode == "score" else (symbols, logp, ent, step_lp, step_ent)
+
+
 def _emit_both(s, meanings, mode):
     """(outputs, gradients of every sender parameter) of the node loop and of
     the per-row reference, for one emission ``mode`` or "score"."""
@@ -923,30 +943,12 @@ def _emit_both(s, meanings, mode):
     rng = np.random.default_rng(11)
     weights = [tensor(rng.standard_normal(len(meanings)), dtype=np.float64) for _ in range(2)]
     results = []
-    for shared in (True, False):
+    for emit in (_emit_on_nodes, _emit_on_rows):
         with Tape() as tape:
-            state = s.encode(meanings)
-            if mode == "score":
-                pick = lambda t, z: batch.symbols[:, t]
-            else:
-                pick = _sampler(np.random.default_rng(5)) if mode == "sample" else (
-                    lambda t, z: de.log_softmax_array(z)[0].argmax(axis=1))
-            if shared:
-                res = (s.score(state, batch),) if mode == "score" else s.emit(
-                    state, mode, rng=np.random.default_rng(5))
-                if mode != "score":
-                    res = (res.batch.symbols, res.log_probs, res.entropies,
-                           res.step_log_probs, res.step_entropies)
-            else:
-                h, c = state
-                symbols, alive, logits = row_unroll(s.cell, s.emb, s.out, h, c, s.max_len, EOS, pick)
-                logp, ent, step_lp, step_ent = de.categorical(logits, symbols, alive)
-                res = (logp,) if mode == "score" else (symbols, logp, ent, step_lp, step_ent)
-            tensors = [r for r in res if isinstance(r, Tensor)]
-            loss = None
-            for t, w in zip(tensors, weights):
-                term = de.reduce_sum(de.mul(t, w))
-                loss = term if loss is None else de.add(loss, term)
+            res = emit(s, s.encode(meanings), mode, batch)
+            tensors = res[1:3] if len(res) > 1 else res  # log S, and H unless scoring
+            terms = [de.reduce_sum(de.mul(t, w)) for t, w in zip(tensors, weights)]
+            loss = terms[0] if len(terms) == 1 else de.add(*terms)
         g = backward(tape, loss)
         outs = [r.data if isinstance(r, Tensor) else r for r in res]
         results.append((outs, {k: g[p] for k, p in s.named_parameters().items()}))
