@@ -12,6 +12,10 @@ All randomness inside a run is drawn from named substreams derived by hashing
 ``"{master_seed}:{stream_name}"``, so individual sources (init, split, batch,
 sender sampling, branching draws, evaluation) can be varied or held fixed
 independently of each other.
+
+What a run carries from one training step to the next (its splits, streams,
+agents, optimiser, baseline, KL-weight controller and iteration count) is one
+``RunState``, built by ``start`` and moved forward by ``RunState.step``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import THREAD_VARS
-from .agents import Strategy
+from .agents import Receiver, Sender, Strategy
 from .game import (
     BaselineState,
     GameConfig,
@@ -300,6 +304,71 @@ def memory_refusal(config, itemsize=4):
     )
 
 
+def split_space(config):
+    """The meaning space of ``config`` and its train and test meanings, split
+    by the ``split`` stream."""
+    space = build_space(config)
+    train_idx, test_idx = split(space, seed=stream_seed(config.seed, "split"))
+    return space, [space.meanings[i] for i in train_idx], [space.meanings[i] for i in test_idx]
+
+
+def _start_rewo(config):
+    """The KL-weight controller a run starts with (None unless ``beta_mode``
+    is rewo) and the beta of its first step."""
+    rewo = RewoState.from_config(config) if config.beta_mode == "rewo" else None
+    return rewo, rewo.beta if rewo else 0.0
+
+
+@dataclass
+class RunState:
+    """What a run carries from one training step to the next, ``iteration``
+    steps in; ``params`` is the joint parameter table the agents hold."""
+
+    config: RunConfig
+    train: list
+    test: list
+    streams: dict
+    sender: Sender
+    receiver: Receiver
+    params: dict
+    opt: AdamState
+    baseline: BaselineState
+    rewo: RewoState | None
+    beta: float
+    iteration: int = 0
+
+    def step(self):
+        """One training iteration: a batch of train meanings drawn from the
+        ``batch`` stream, one game on it, the Adam update, and under rewo the
+        KL weight's. Returns the step's ``StepStats`` and gradients."""
+        picks = self.streams["batch"].integers(0, len(self.train), size=self.config.batch_size)
+        stats, grads, self.baseline = play_batch(
+            self.sender, self.receiver, [self.train[i] for i in picks], self.config,
+            rng=self.streams["sender"], baseline=self.baseline, beta=self.beta,
+            branch_rng=self.streams["branching"],
+        )
+        self.params = adam_step(self.opt, self.params, grads)
+        load_parameters(self.sender, self.receiver, self.params)
+        if self.rewo is not None:
+            self.rewo = rewo_update(self.rewo, stats.recon_loss)
+            self.beta = self.rewo.beta
+        self.iteration += 1
+        return stats, grads
+
+
+def start(config, dtype):
+    """The state of a run of ``config`` before its first step, with ``dtype``
+    parameters."""
+    space, train, test = split_space(config)
+    streams = seed_streams(config.seed)
+    sender, receiver = build_agents(space, config, streams["init"], dtype=dtype)
+    return RunState(
+        config, train, test, streams, sender, receiver, joint_parameters(sender, receiver),
+        AdamState(lr=config.lr, l2=config.l2), BaselineState(decay=config.baseline_decay),
+        *_start_rewo(config),
+    )
+
+
 def run(config, out_dir=None):
     """Train one sender/receiver pair and persist metrics along the way.
 
@@ -320,13 +389,7 @@ def run(config, out_dir=None):
     dtype = np.float64 if deterministic else np.float32
     strategy = Strategy.parse(config.strategy)
     use_prior = config.beta_mode == "rewo"
-
-    space = build_space(config)
-    train_idx, test_idx = split(space, seed=stream_seed(config.seed, "split"))
-    train = [space.meanings[i] for i in train_idx]
-    test = [space.meanings[i] for i in test_idx]
-    streams = seed_streams(config.seed)
-    sender, receiver = build_agents(space, config, streams["init"], dtype=dtype)
+    state = start(config, dtype)
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
@@ -337,44 +400,36 @@ def run(config, out_dir=None):
         stale.unlink(missing_ok=True)
     refusal = memory_refusal(config, np.dtype(dtype).itemsize)
     if refusal is not None:
-        return _finish_run(config, out, [], config.beta0 if use_prior else 0.0, refusal, 0.0)
-
-    params = joint_parameters(sender, receiver)
-    opt = AdamState(lr=config.lr, l2=config.l2)
-    baseline = BaselineState(decay=config.baseline_decay)
-    rewo = RewoState.from_config(config) if use_prior else None
-    beta = rewo.beta if use_prior else 0.0
+        return _finish_run(config, out, [], state.beta, refusal, 0.0)
 
     eval_at = set(_eval_points(config))
     records = []
     error = None
     started = time.monotonic()
 
-    def evaluate(iteration, stats):
-        eval_rng = stream_generator(config.seed, f"eval/{iteration}")
+    def evaluate(stats):
+        eval_rng = stream_generator(config.seed, f"eval/{state.iteration}")
+        agents = (state.sender, state.receiver)
+        splits = {"train": state.train, "test": state.test}
         # ComAcc leaves each split's greedy messages (and, for the
-        # deterministic strategies, its reads) for the log prior to reuse
-        memo_train, memo_test = {}, {}
+        # deterministic strategies, its reads) for the log prior to reuse.
+        # Both ComAccs draw from eval_rng before either log prior does.
+        memos = {name: {} if use_prior else None for name in splits}
+        values = {
+            f"comacc_{name}": comacc(
+                *agents, meanings, strategy, eval_rng, draws=config.eval_draws, memo=memos[name]
+            )
+            for name, meanings in splits.items()
+        }
+        for name, meanings in splits.items():
+            values[f"mean_log_prior_{name}"] = (
+                mean_log_prior(*agents, meanings, strategy, eval_rng, memo=memos[name])
+                if use_prior
+                else math.nan
+            )
         rec = MetricsRecord(
-            iteration=iteration,
-            comacc_train=comacc(
-                sender, receiver, train, strategy, eval_rng,
-                draws=config.eval_draws, memo=memo_train if use_prior else None,
-            ),
-            comacc_test=comacc(
-                sender, receiver, test, strategy, eval_rng,
-                draws=config.eval_draws, memo=memo_test if use_prior else None,
-            ),
-            mean_log_prior_train=(
-                mean_log_prior(sender, receiver, train, strategy, eval_rng, memo=memo_train)
-                if use_prior
-                else math.nan
-            ),
-            mean_log_prior_test=(
-                mean_log_prior(sender, receiver, test, strategy, eval_rng, memo=memo_test)
-                if use_prior
-                else math.nan
-            ),
+            iteration=state.iteration,
+            **values,
             recon_loss=stats.recon_loss,
             kl=stats.kl,
             beta=stats.beta,
@@ -385,27 +440,10 @@ def run(config, out_dir=None):
         append_metrics(metrics_path, rec)
 
     try:
-        for iteration in range(1, config.iterations + 1):
-            picks = streams["batch"].integers(0, len(train), size=config.batch_size)
-            batch = [train[i] for i in picks]
-            stats, grads, baseline = play_batch(
-                sender,
-                receiver,
-                batch,
-                config,
-                rng=streams["sender"],
-                baseline=baseline,
-                beta=beta,
-                branch_rng=streams["branching"],
-            )
-            params = adam_step(opt, params, grads)
-            grads = None  # not kept alive through the next step's peak
-            load_parameters(sender, receiver, params)
-            if use_prior:
-                rewo = rewo_update(rewo, stats.recon_loss)
-                beta = rewo.beta
-            if iteration in eval_at:
-                evaluate(iteration, stats)
+        while state.iteration < config.iterations:
+            stats = state.step()[0]  # its gradients are not kept through the next step's peak
+            if state.iteration in eval_at:
+                evaluate(stats)
                 if (
                     config.stop_comacc_train > 0.0
                     and records[-1].comacc_train >= config.stop_comacc_train
@@ -414,7 +452,7 @@ def run(config, out_dir=None):
     except NonFiniteLossError as exc:
         error = f"{exc} | details: {exc.details}"
     wall = 0.0 if deterministic else time.monotonic() - started
-    return _finish_run(config, out, records, beta, error, wall)
+    return _finish_run(config, out, records, state.beta, error, wall)
 
 
 def _finish_run(config, out, records, beta, error, wall_seconds, usage=None):
@@ -500,8 +538,7 @@ def _reap(config, run_dir, status, usage):
     else:
         lines = (run_dir / "child.log").read_text(errors="replace").splitlines()
         error = f"exit code {code}: {lines[-1] if lines else ''}"
-    beta = config.beta0 if config.beta_mode == "rewo" else 0.0
-    _finish_run(config, run_dir, [], beta, error, 0.0, usage)
+    _finish_run(config, run_dir, [], _start_rewo(config)[1], error, 0.0, usage)
 
 
 def sweep(preset, strategies=DEFAULT_STRATEGIES, seeds=24, jobs=1, out_root=None,
@@ -536,7 +573,7 @@ def sweep(preset, strategies=DEFAULT_STRATEGIES, seeds=24, jobs=1, out_root=None
         for seed in seed_list:
             config = resolve_preset(preset, strategy=strategy, seed=seed, **overrides)
             if not grid:  # only strategy and seed vary, so every run has this space
-                split(build_space(config), seed=stream_seed(config.seed, "split"))
+                split_space(config)
             run_dir = root / f"{preset}-{strategy}-s{seed}"
             cmd = [*child_prefix, "run", "--preset", preset, "--seed", str(seed)]
             cmd += ["--out", str(run_dir), "--set", f"strategy={strategy}", *sets]

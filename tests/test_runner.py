@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import eclab
 from eclab import runner as runner_module
 from eclab.game import GameError
 from eclab.metrics import CSV_FIELDS, read_metrics
@@ -346,13 +347,64 @@ def test_preflight_is_skipped_when_memory_is_unknown(tmp_path, monkeypatch):
     assert not run(tiny_config(), out_dir=tmp_path / "r").failed
 
 
-def _benchmark_workloads(monkeypatch):
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _load(monkeypatch, relative):
+    """A file of this repository outside the package, loaded by its path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(f"{path.parent.name}_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
-    return module.WORKLOADS.values()
+    return module
+
+
+def _benchmark_workloads(monkeypatch):
+    return _load(monkeypatch, "perfbench/workloads.py").WORKLOADS.values()
+
+
+def test_traced_benchmark_sees_every_runner_call_under_its_root(tmp_path, monkeypatch):
+    # the per-layer metrics read spans opened directly under runner.run
+    tracing = _load(monkeypatch, "perfbench/tracing.py")
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer, eclab)
+    try:
+        runner_module.run(tiny_config(beta_mode="rewo"), out_dir=tmp_path / "r")
+    finally:
+        tracer.restore()
+    assert runner_module.run is run
+    # tiny_config: 6 iterations, evaluated on both splits at 3 and 6
+    calls = dict(build_space=1, split=1, build_agents=1, play_batch=6, adam_step=6,
+                 load_parameters=6, rewo_update=6, comacc=4, mean_log_prior=4, append_metrics=2)
+    assert calls.keys() == tracing.RUNNER_CALLS.keys()
+    for name, root in tracing.RUNNER_CALLS.items():
+        spans = [s for s in tracer.spans if s.name == f"runner.{name}"]
+        assert len(spans) == calls[name], name
+        assert {(s.parent.name, s.root) for s in spans} == {("runner.run", root)}, name
+
+
+def test_run_and_both_tools_take_the_same_first_step(tmp_path, monkeypatch):
+    # a rewo run plays its first batch at beta0, and both tools measure that step
+    tape_ops = _load(monkeypatch, "tools/tape_ops.py")
+    grad_hash = _load(monkeypatch, "tools/grad_hash.py")
+    config = resolve_preset(
+        "smoke-attrval", beta_mode="rewo", hidden=32, batch_size=64, iterations=1
+    )
+    calls, play_batch = [], runner_module.play_batch
+
+    def recording(sender, receiver, meanings, config, rng, baseline, beta=0.0, branch_rng=None):
+        calls.append((list(meanings), beta))
+        return play_batch(sender, receiver, meanings, config, rng, baseline, beta, branch_rng)
+
+    def first_step(fn, *args):
+        calls.clear()
+        fn(*args)
+        assert calls, f"{fn.__name__} played no batch through runner.play_batch"
+        return calls[0]
+
+    monkeypatch.setattr(runner_module, "play_batch", recording)
+    first = first_step(run, config, tmp_path / "r")
+    assert first[1] == config.beta0 == 1e-3
+    assert first_step(tape_ops.count_ops, config) == first
+    assert first_step(grad_hash.run_case, "smoke-attrval", "learned", "rewo", np.float64) == first
 
 
 def test_preflight_passes_every_benchmark_workload_and_test_preset(monkeypatch):
@@ -470,6 +522,19 @@ def test_sweep_refuses_a_bad_cap_before_it_starts_a_child(tmp_path):
     with pytest.raises(GameError, match="k_u must be > 0, got 0"):
         sweep("smoke-attrval", strategies=("learned",), seeds=1, out_root=tmp_path / "sw",
               overrides={"k_u": 0})
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_checks_its_space_with_the_code_that_starts_a_run(tmp_path, monkeypatch):
+    # a space split_space cannot build stops a run and, before any child, a sweep
+    def refuse(config):
+        raise RunnerError(f"no split for seed {config.seed}")
+
+    monkeypatch.setattr(runner_module, "split_space", refuse)
+    with pytest.raises(RunnerError, match="no split for seed 0"):
+        runner_module.start(tiny_config(), np.float64)
+    with pytest.raises(RunnerError, match="no split for seed 0"):
+        sweep("smoke-attrval", seeds=1, out_root=tmp_path / "sw")
     assert not (tmp_path / "sw").exists()
 
 

@@ -4,9 +4,9 @@
 
 The cases are smoke-attrval and smoke-dyck × learned/left/random ×
 beta_mode off/rewo × float32/float64, at hidden 32 and batch 64. Each case
-builds the preset's agents and streams as ``eclab run`` does, then runs
-three ``game.play_batch`` steps with their Adam updates (and, under rewo,
-the beta controller). The digest covers every gradient, by parameter name,
+starts the preset's ``runner.RunState`` as ``eclab run`` does and takes its
+first three steps (``game.play_batch``, the Adam update and, under rewo, the
+beta controller). The digest covers every gradient, by parameter name,
 and every ``StepStats`` field of the three steps. Each line reads
 ``preset strategy beta_mode dtype sha256``.
 
@@ -33,17 +33,6 @@ import sys
 import numpy as np
 
 from eclab import runner
-from eclab.diffengine import AdamState, adam_step
-from eclab.game import (
-    BaselineState,
-    RewoState,
-    build_agents,
-    joint_parameters,
-    load_parameters,
-    play_batch,
-    rewo_update,
-)
-from eclab.meanings import split
 
 PRESETS = ("smoke-attrval", "smoke-dyck")
 STRATEGIES = ("learned", "left", "random")
@@ -59,23 +48,10 @@ def run_case(preset, strategy, beta_mode, dtype):
     config = runner.resolve_preset(
         preset, strategy=strategy, beta_mode=beta_mode, hidden=32, batch_size=64
     )
-    space = runner.build_space(config)
-    train_idx, _ = split(space, seed=runner.stream_seed(config.seed, "split"))
-    streams = runner.seed_streams(config.seed)
-    sender, receiver = build_agents(space, config, streams["init"], dtype)
-    params = joint_parameters(sender, receiver)
-    opt = AdamState(lr=config.lr, l2=config.l2)
-    baseline = BaselineState(decay=config.baseline_decay)
-    rewo = RewoState.from_config(config) if beta_mode == "rewo" else None
-    beta = rewo.beta if rewo else 0.0
+    state = runner.start(config, dtype)
     digest, arrays = hashlib.sha256(), {}
     for step in range(STEPS):
-        picks = streams["batch"].integers(0, len(train_idx), size=config.batch_size)
-        meanings = [space.meanings[train_idx[i]] for i in picks]
-        stats, grads, baseline = play_batch(
-            sender, receiver, meanings, config, rng=streams["sender"],
-            baseline=baseline, beta=beta, branch_rng=streams["branching"],
-        )
+        stats, grads = state.step()
         for name in sorted(grads):
             digest.update(name.encode())
             digest.update(grads[name].tobytes())
@@ -83,11 +59,6 @@ def run_case(preset, strategy, beta_mode, dtype):
         fields = dataclasses.astuple(stats)
         digest.update(repr(fields).encode())
         arrays[f"{step}/stats"] = np.array([np.nan if v is None else v for v in fields])
-        params = adam_step(opt, params, grads)
-        load_parameters(sender, receiver, params)
-        if rewo:
-            rewo = rewo_update(rewo, stats.recon_loss)
-            beta = rewo.beta
     return digest.hexdigest(), arrays
 
 

@@ -3,24 +3,24 @@ memory they keep, by op.
 
     PYTHONPATH=src python3 tools/tape_ops.py smoke-attrval [--set K=V ...]
 
-Builds the preset's agents (``--set`` overrides a RunConfig field, as for
-``eclab run``), draws the first training batch as ``eclab run`` does, runs
-one ``game.play_batch`` in float32 and prints, per op, how many records it
-put on the tape, the summed leading-axis size of their first outputs (1
-for a 0-d output) and the MB (2**20 bytes) the forward held for them, most
-records first, then the totals, then the ``lstm_cell`` line split by cell
-(``lstm_cell:<cell>``, the cell's parameter prefix in
+Starts the preset's ``runner.RunState`` (``--set`` overrides a RunConfig
+field, as for ``eclab run``) and takes its first step, the first step of
+``eclab run`` in float32. Prints, per op, how many records that step's
+``game.play_batch`` put on the tape, the summed leading-axis size of their
+first outputs (1 for a 0-d output) and the MB (2**20 bytes) the forward held
+for them, most records first, then the totals, then the ``lstm_cell`` line
+split by cell (``lstm_cell:<cell>``, the cell's parameter prefix in
 ``game.joint_parameters``: the sender's encoder and emission, the receiver
 and its decoder). The rows show how many nodes or rows a record runs on:
 the ``lstm_cell`` rows drop when an LSTM runs once per distinct prefix,
 though the records do not.
 
 The MB come from ``tracemalloc``, which sees numpy's buffers. It traces the
-forward, from the start of ``play_batch`` to its call of ``backward``; the
-growth of traced memory between two consecutive records (outputs, arrays
-kept for backward, and whatever the code between them left alive) counts to
-the later record's op, so the total is what the forward holds at its last
-record.
+forward, from the start of the step (its batch draw, a few KB) to the call
+of ``backward`` in ``play_batch``; the growth of traced memory between two
+consecutive records (outputs, arrays kept for backward, and whatever the
+code between them left alive) counts to the later record's op, so the total
+is what the forward holds at its last record.
 """
 
 from __future__ import annotations
@@ -31,28 +31,21 @@ import sys
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
+
 from eclab import diffengine as de
 from eclab import game, runner
-from eclab.game import BaselineState, build_agents, play_batch
-from eclab.meanings import split
 
 
 def count_ops(config):
-    """``Counter``s of op name -> records on the tape of one ``play_batch``,
-    op name -> summed leading-axis size of those records' first outputs, and
-    op name -> bytes of traced growth counted to those records; and the same
-    three for the ``lstm_cell`` records of each cell, as a dict of cell name
-    -> [records, rows, bytes]."""
-    space = runner.build_space(config)
-    train_idx, _ = split(space, seed=runner.stream_seed(config.seed, "split"))
-    streams = runner.seed_streams(config.seed)
-    picks = streams["batch"].integers(0, len(train_idx), size=config.batch_size)
-    meanings = [space.meanings[train_idx[i]] for i in picks]
-    sender, receiver = build_agents(space, config, streams["init"])
+    """``Counter``s of op name -> records on the tape of the ``play_batch``
+    of a run's first step (float32), op name -> summed leading-axis size of
+    those records' first outputs, and op name -> bytes of traced growth
+    counted to those records; and the same three for the ``lstm_cell``
+    records of each cell, as a dict of cell name -> [records, rows, bytes]."""
+    state = runner.start(config, np.float32)
     cells = {
-        id(t): name[: -len(".W")]
-        for name, t in game.joint_parameters(sender, receiver).items()
-        if name.endswith("cell.W")
+        id(t): name[: -len(".W")] for name, t in state.params.items() if name.endswith("cell.W")
     }
     counts, rows, held = (collections.Counter() for _ in range(3))
     by_cell = collections.defaultdict(lambda: [0, 0, 0])
@@ -80,15 +73,7 @@ def count_ops(config):
     de._finish_many, game.backward = counted, untraced_backward
     tracemalloc.start()
     try:
-        play_batch(
-            sender,
-            receiver,
-            meanings,
-            config,
-            rng=streams["sender"],
-            baseline=BaselineState(decay=config.baseline_decay),
-            branch_rng=streams["branching"],
-        )
+        state.step()
     finally:
         tracemalloc.stop()
         de._finish_many, game.backward = finish_many, backward
