@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Ops evaluate eagerly and, when a ``Tape`` is active, append a record
-``(outs, inputs, backward_fn)`` to it. Creation order on the tape is a valid
-topological order, so ``backward`` just walks the records in reverse and
+``(outs, inputs, backward_fn, op)`` to it. Creation order on the tape is a
+valid topological order, so ``backward`` walks the records in reverse and
 accumulates cotangents keyed by tensor identity. Once a record has run,
 ``backward`` releases its output cotangents and the record itself, with the
 arrays its backward kept, so a tape runs backward once. With no tape active
@@ -12,10 +12,11 @@ decoding, metrics) fast.
 Every record has one shape: ``outs`` is a tuple of tensors, one for most ops
 and several for a fused op. ``backward_fn`` takes one cotangent per output,
 ``None`` for an output the loss does not reach, runs as soon as any output
-has a cotangent, and returns one cotangent (or ``None``) per input. The fused
-ops ``lstm_cell`` (one LSTM step, with its row freeze and regroup) and
-``categorical`` (the summed log-likelihood and entropy of T draws) are single
-records with a hand-written backward.
+has a cotangent, and returns one cotangent (or ``None``) per input. ``op``
+names the op that made the record (``take_rows`` records ``gather_rows``).
+The fused ops ``lstm_cell`` (one LSTM step, with its row freeze and regroup)
+and ``categorical`` (the summed log-likelihood and entropy of T draws) are
+single records with a hand-written backward.
 
 Shape discipline is explicit: the binary ops (``add``, ``sub``, ``mul``,
 ``maximum``, ``minimum``, all through one helper) accept equal shapes, a 0-d
@@ -152,7 +153,7 @@ def _finish_many(arrs, op, inputs, bw):
     # wraps the outputs and records them, as one record, on the active tape
     outs = tuple(Tensor._wrap(arr) for arr in arrs)
     if _TAPES:
-        _TAPES[-1]._nodes.append((outs, inputs, bw))
+        _TAPES[-1]._nodes.append((outs, inputs, bw, op))
     return outs
 
 
@@ -680,13 +681,13 @@ def backward(tape, loss, wrt=None):
         raise DiffError("backward: this tape's records were released by an earlier backward")
     # built while every record still holds its outputs, so no id in it can
     # belong to a tensor made after a record is released
-    produced = {id(o) for outs, _, _ in nodes for o in outs}
+    produced = {id(o) for outs, *_ in nodes for o in outs}
     if id(loss) not in produced:
         raise DiffError("backward: loss was not produced on this tape")
     table = {id(loss): (loss, np.ones((), dtype=loss.dtype))}
     keep = None if wrt is None else {id(t) for t in wrt}
     for k in range(len(nodes) - 1, -1, -1):
-        outs, inputs, bw = nodes[k]
+        outs, inputs, bw, _ = nodes[k]
         nodes[k] = None
         gs = [table.pop(id(o), (None, None))[1] for o in outs]
         if all(g is None for g in gs):

@@ -243,21 +243,12 @@ def _json_value(x):
 # Peak-memory model of one training step: a fixed base plus, per batch item,
 # the tape's saved activations, weighed apart for a message step (sender and
 # receiver) and a Dyck step (sender's encoder and receiver's decoder), with a
-# Dyck base as distinct word prefixes grow more slowly than the batch. It is
-# calibrated on the least favourable messages: all max_len long, each symbol
-# drawn uniformly from the content symbols (fresh agents peak lower, as the
-# receiver runs once per distinct message prefix). The constants were fitted
-# while an lstm_cell record also kept [x, h], c and tanh(c2), and are kept
-# until a bound built from the ops' saved arrays replaces the fit. Since each
-# record keeps only its gates, 4-step ``eclab run`` processes on such batches
-# (hidden 512, float32) peak at 531, 883 and 2676 MB for exp1-dyck-k4 at
-# batch 1024, 2048 and 8192, at 688, 1181 and 3706 MB for exp1-dyck-k1, at
-# 500, 826 and 2480 MB for exp1-dyck-k9, and at 339, 557 and 1614 MB for
-# exp2-attrval-4x8; the model is 36, 29 and 35% above the exp1-dyck-k4
-# peaks, 38, 35 and 48% above k1, 35, 26 and 31% above k9 and 29, 19 and 27%
-# above exp2-attrval-4x8. The random strategy peaks higher at batch 2048 on
-# these batches: exp1-dyck-k4 at 1057 MB, which the model is 7% above, and
-# exp2-attrval-4x8 at 765 MB, 15% above the model.
+# Dyck base as distinct word prefixes grow more slowly than the batch. It is a
+# fit, calibrated (tests/test_runner.py, MEASURED_PEAKS_MB) while an lstm_cell
+# record also kept [x, h], c and tanh(c2) and before the LSTMs ran on prefix
+# nodes. Learned runs have peaked well below it since, random ones on spread
+# batches near or above it; BENCH_07's ``extra`` block has the current peaks.
+# A bound from the ops' saved arrays (ROADMAP item 2) is to replace it.
 BASE_MB = 205.0
 DYCK_BASE_MB = 100.0
 VALUES_PER_MESSAGE_STEP = 7.2  # saved values per hidden unit and unrolled step

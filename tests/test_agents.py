@@ -729,28 +729,15 @@ def test_encode_runs_one_node_per_distinct_prefix(monkeypatch):
     assert all(np.array_equal(node, np.arange(n)) for node in enc.nodes)
 
 
-def _op_names(monkeypatch):
-    # the op of each record made while the returned list is live
-    names, finish_many = [], de._finish_many
-
-    def recording(arrs, op, inputs, bw):
-        names.append(op)
-        return finish_many(arrs, op, inputs, bw)
-
-    monkeypatch.setattr(de, "_finish_many", recording)
-    return names
-
-
-def test_encode_gathers_per_row_reads_only_for_the_prior_and_the_trace(monkeypatch):
+def test_encode_gathers_per_row_reads_only_for_the_prior_and_the_trace():
     batch = msgs_batch(SHARED_SEQS, max_len=5)
     t_max = batch.symbols.shape[1]
-    names, gathers, reads = _op_names(monkeypatch), {}, {}
+    gathers, reads = {}, {}
     for with_prior, want_trace in ((False, False), (True, False), (False, True)):
         r = small_receiver(attr_space(), max_len=5, with_prior=with_prior)
-        names.clear()
-        with Tape():
+        with Tape() as tape:
             enc = r.encode(batch, "learned", want_trace=want_trace)
-        gathers[with_prior, want_trace] = names.count("gather_rows")
+        gathers[with_prior, want_trace] = [op for *_, op in tape._nodes].count("gather_rows")
         reads[with_prior, want_trace] = enc.reads
     assert reads[False, False] is None
     assert len(reads[True, False]) == len(reads[False, True]) == t_max + 1

@@ -17,6 +17,15 @@ from eclab.diffengine import (
     kink_margin,
     tensor,
 )
+from eclab.neural_stack import (
+    StackDirectives,
+    StackState,
+    stack_pop,
+    stack_push,
+    stack_read,
+    stack_step,
+    total_strength,
+)
 
 
 def f64(x):
@@ -245,7 +254,7 @@ def _backward_keeping_every_entry(tape, loss, wrt=None):
     # backward as it was before cotangents were released: table.get, never pop,
     # and an entry for every leaf whatever ``wrt`` asks for
     table = {id(loss): np.ones((), dtype=loss.dtype)}
-    for outs, inputs, bw in reversed(tape._nodes):
+    for outs, inputs, bw, _ in reversed(tape._nodes):
         g = [table.get(id(o)) for o in outs]
         if all(gi is None for gi in g):
             continue
@@ -484,7 +493,7 @@ def test_binary_op_with_scalar_operand(name, form):
         loss = de.reduce_sum(de.mul(out, w))
     assert len(tape) == 3  # one record for the op
     assert np.array_equal(out.data, ref(a_np, b_np))
-    inputs, bw = tape._nodes[0][1:]  # read before backward releases it
+    inputs, bw = tape._nodes[0][1:3]  # read before backward releases it
     grads = backward(tape, loss)
     ga, gb = cotangents(*np.broadcast_arrays(a_np, b_np), w.data)
     assert np.array_equal(grads[a], ga.sum() if form == "scalar_left" else ga)
@@ -1014,3 +1023,52 @@ def test_categorical_rejects_bad_shapes():
     for args in bad:
         with pytest.raises(ShapeError, match="categorical"):
             de.categorical(*args)
+
+
+# inputs made with no tape active, so each call below records only its op
+_M = f64(np.linspace(0.1, 1.2, 6).reshape(3, 2))
+_V, _S = f64([0.5, 2.0]), f64([0.3, 0.6, 0.9])
+_STACK = stack_push(StackState.empty(2, batch=3, dtype=np.float64), _M, _S)
+_LSTM = lstm_inputs(np.random.default_rng(71), batch=3, n_in=2, hidden=2)
+_DRAWS = (np.zeros((3, 2), int), np.ones((3, 2), bool))
+# public op -> the name its record carries, and a call of it
+RECORD_NAMES = {
+    "add": ("add", lambda: de.add(_M, _M)),
+    "sub": ("sub", lambda: de.sub(_M, 1.0)),
+    "mul": ("mul", lambda: de.mul(_M, _M)),
+    "maximum": ("maximum", lambda: de.maximum(_M, 0.5)),
+    "minimum": ("minimum", lambda: de.minimum(_M, 0.5)),
+    "sigmoid": ("sigmoid", lambda: de.sigmoid(_M)),
+    "tanh": ("tanh", lambda: de.tanh(_M)),
+    "exp": ("exp", lambda: de.exp(_M)),
+    "log": ("log", lambda: de.log(_M)),
+    "matmul": ("matmul", lambda: de.matmul(_M, _V)),
+    "add_bias": ("add_bias", lambda: de.add_bias(_M, _V)),
+    "scale_rows": ("scale_rows", lambda: de.scale_rows(_M, _S)),
+    "take_rows": ("gather_rows", lambda: de.take_rows(_M, [2, 0])),
+    "gather_rows": ("gather_rows", lambda: de.gather_rows((_M, _S), [1, 1])),
+    "take_last": ("take_last", lambda: de.take_last(_M, np.array([0, 1, 1]))),
+    "concat": ("concat", lambda: de.concat((_M, _M))),
+    "slice_last": ("slice_last", lambda: de.slice_last(_M, 0, 1)),
+    "lstm_cell": ("lstm_cell", lambda: de.lstm_cell(**_LSTM)),
+    "categorical": ("categorical", lambda: de.categorical((_M, _M), *_DRAWS)),
+    "reduce_sum": ("reduce_sum", lambda: de.reduce_sum(_M)),
+    "reduce_mean": ("reduce_mean", lambda: de.reduce_mean(_M)),
+    "sum_last": ("sum_last", lambda: de.sum_last(_M)),
+    "softmax": ("softmax", lambda: de.softmax(_M)),
+    "log_softmax": ("log_softmax", lambda: de.log_softmax(_M)),
+    "stack_push": ("stack_push", lambda: stack_push(_STACK, _M, _S)),
+    "stack_pop": ("stack_step", lambda: stack_pop(_STACK, _S)),
+    "stack_read": ("stack_step", lambda: stack_read(_STACK, _S)),
+    "stack_step": ("stack_step", lambda: stack_step(_STACK, StackDirectives(_M, _S, _S, _S))),
+    "total_strength": ("sum_last", lambda: total_strength(_STACK)),
+}
+
+
+@pytest.mark.parametrize("called", list(RECORD_NAMES))
+def test_each_public_op_records_its_name(called):
+    # tools count a tape by the name in each record's last slot
+    name, op = RECORD_NAMES[called]
+    with Tape() as tape:
+        op()
+    assert [record[-1] for record in tape._nodes] == [name]

@@ -273,8 +273,8 @@ def test_available_memory_reads_meminfo(tmp_path):
 
 # The calibration peaks (MB) of the preflight fit, measured before an
 # lstm_cell record kept only its gates (BENCH_06): the code peaks lower since,
-# e.g. exp1-dyck-k4 at batch 1024 at 531 MB against the 675.4 here (the
-# comment above ``runner.BASE_MB`` has the later peaks). They stay the fit's
+# e.g. exp1-dyck-k4 at batch 1024 at 531 MB against the 675.4 here (BENCH_07's
+# ``extra`` block has the later peaks). They stay the fit's
 # reference until a bound from the ops' saved arrays replaces it. Each was at
 # hidden 512, float32, on batches whose messages are all max_len long with
 # uniformly drawn content symbols, the least prefix sharing a sampled batch

@@ -112,3 +112,49 @@ def test_lstm_cell_records_hold_no_more_than_their_gates_and_outputs(preset, mon
 def test_lstm_cell_rows_split_by_cell(capsys, preset, cells):
     table = _table(capsys, preset, "batch_size=32", "hidden=16")  # checks the sums
     assert [op for op in table if op.startswith("lstm_cell:")] == [f"lstm_cell:{c}" for c in cells]
+
+
+def test_no_op_holds_negative_memory_and_a_failed_step_restores_backward(capsys, monkeypatch):
+    # the bytes between two records used to count to the later one, so an op
+    # whose records free more than they keep (mul on smoke-dyck) read < 0
+    assert tape_ops.main(["smoke-dyck"]) == 0
+    held = [float(line.split()[3]) for line in capsys.readouterr().out.splitlines()]
+    assert len(held) > 10 and min(held) >= 0
+    backward = game.backward
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("the step fails")
+
+    monkeypatch.setattr(runner, "play_batch", failing)
+    with pytest.raises(RuntimeError, match="the step fails"):
+        tape_ops.count_ops(runner.resolve_preset("smoke-dyck"))
+    assert game.backward is backward
+
+
+# tracemalloc's growth over the forward exceeds the buffers the tape holds by
+# the Python objects of the step (records, tensors, closures), the batch and
+# the walk's own set of ids: 0.38-0.43 MB on smoke-attrval as it stands, and
+# 0.26-0.51 MB over nine smoke configs (seeds, strategies, rewo, batch 64-256)
+TRACEMALLOC_SLACK_MB = 0.75
+
+
+def test_held_bytes_agree_with_tracemalloc_over_the_same_forward(monkeypatch):
+    play, backward, grown = runner.play_batch, game.backward, []
+
+    def traced_play(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return play(*args, **kwargs)
+        finally:
+            tracemalloc.stop()
+
+    def traced_backward(*args, **kwargs):  # the forward ends here
+        grown.append(tracemalloc.get_traced_memory()[0])
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "play_batch", traced_play)
+    monkeypatch.setattr(game, "backward", traced_backward)
+    _, _, held, _ = tape_ops.count_ops(runner.resolve_preset("smoke-attrval"))
+    total = sum(held.values())
+    assert len(grown) == 1
+    assert total <= grown[0] <= total + TRACEMALLOC_SLACK_MB * 2**20

@@ -7,29 +7,27 @@ Starts the preset's ``runner.RunState`` (``--set`` overrides a RunConfig
 field, as for ``eclab run``) and takes its first step, the first step of
 ``eclab run`` in float32. Prints, per op, how many records that step's
 ``game.play_batch`` put on the tape, the summed leading-axis size of their
-first outputs (1 for a 0-d output) and the MB (2**20 bytes) the forward held
-for them, most records first, then the totals, then the ``lstm_cell`` line
+first outputs (1 for a 0-d output) and the MB (2**20 bytes) of the buffers
+they hold, most records first, then the totals, then the ``lstm_cell`` line
 split by cell (``lstm_cell:<cell>``, the cell's parameter prefix in
-``game.joint_parameters``: the sender's encoder and emission, the receiver
-and its decoder). The rows show how many nodes or rows a record runs on:
-the ``lstm_cell`` rows drop when an LSTM runs once per distinct prefix,
-though the records do not.
+``game.joint_parameters``). The rows show how many nodes or rows a record
+runs on: the ``lstm_cell`` rows drop when an LSTM runs once per distinct
+prefix, though the records do not.
 
-The MB come from ``tracemalloc``, which sees numpy's buffers. It traces the
-forward, from the start of the step (its batch draw, a few KB) to the call
-of ``backward`` in ``play_batch``; the growth of traced memory between two
-consecutive records (outputs, arrays kept for backward, and whatever the
-code between them left alive) counts to the later record's op, so the total
-is what the forward holds at its last record.
+The tape is read when ``play_batch`` calls ``backward``. A record holds the
+owner (through ``.base``) of each array its outputs, inputs and backward
+closure reach through functions, tuples, lists, tensors and dataclasses;
+each buffer counts once, to the first record, and parameters to none.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
+import dataclasses
 import sys
-import tracemalloc
-from dataclasses import replace
+import types
 
 import numpy as np
 
@@ -37,47 +35,58 @@ from eclab import diffengine as de
 from eclab import game, runner
 
 
-def count_ops(config):
-    """``Counter``s of op name -> records on the tape of the ``play_batch``
-    of a run's first step (float32), op name -> summed leading-axis size of
-    those records' first outputs, and op name -> bytes of traced growth
-    counted to those records; and the same three for the ``lstm_cell``
-    records of each cell, as a dict of cell name -> [records, rows, bytes]."""
-    state = runner.start(config, np.float32)
-    cells = {
-        id(t): name[: -len(".W")] for name, t in state.params.items() if name.endswith("cell.W")
-    }
-    counts, rows, held = (collections.Counter() for _ in range(3))
-    by_cell = collections.defaultdict(lambda: [0, 0, 0])
-    finish_many, backward = de._finish_many, game.backward
-    last = [0]  # traced bytes at the previous record
+def _held(objs, seen):
+    """Bytes of the buffers reachable from ``objs`` whose ids ``seen`` lacks; fills ``seen``."""
+    total, todo = 0, list(objs)
+    while todo:
+        x = todo.pop()
+        x = x.data if isinstance(x, de.Tensor) else x
+        while isinstance(x, np.ndarray) and isinstance(x.base, np.ndarray):
+            x = x.base
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            total += x.nbytes
+        elif isinstance(x, (tuple, list)):
+            todo += x
+        elif isinstance(x, types.FunctionType):
+            for cell in x.__closure__ or ():
+                with contextlib.suppress(ValueError):  # an unbound cell
+                    todo.append(cell.cell_contents)
+        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+            todo += (getattr(x, f.name) for f in dataclasses.fields(x))
+    return total
 
-    def counted(arrs, op, inputs, bw):
-        outs = finish_many(arrs, op, inputs, bw)
-        if de._TAPES:
-            now = tracemalloc.get_traced_memory()[0]
-            record = (1, arrs[0].shape[0] if arrs[0].ndim else 1, now - last[0])
-            last[0] = now
+
+def count_ops(config):
+    """Three ``Counter``s by op name for the tape of the ``play_batch`` of a
+    run's first step (float32): records, the summed leading-axis size of their
+    first outputs, and the bytes of the buffers they hold; and the same three
+    for each cell's ``lstm_cell`` records, as cell name -> [records, rows, bytes]."""
+    state = runner.start(config, np.float32)
+    cells = {id(t): n.removesuffix(".W") for n, t in state.params.items() if n.endswith("cell.W")}
+    counts, rows, held = (collections.Counter() for _ in range(3))
+    by_cell = collections.defaultdict(lambda: np.zeros(3, dtype=np.int64))
+    backward = game.backward
+
+    def counted(tape, *args, **kwargs):
+        seen = set()
+        _held(state.params.values(), seen)
+        for outs, inputs, bw, op in tape._nodes:
+            record = (1, (outs[0].shape or (1,))[0], _held((outs, inputs, bw), seen))
             for table, value in zip((counts, rows, held), record):
                 table[op] += value
             if op == "lstm_cell":
-                cell = by_cell[cells[id(inputs[3])]]
-                for k, value in enumerate(record):
-                    cell[k] += value
-        return outs
+                by_cell[cells[id(inputs[3])]] += record
+        return backward(tape, *args, **kwargs)
 
-    def untraced_backward(*args, **kwargs):
-        tracemalloc.stop()  # the forward ends here
-        return backward(*args, **kwargs)
-
-    de._finish_many, game.backward = counted, untraced_backward
-    tracemalloc.start()
+    game.backward = counted
     try:
         state.step()
     finally:
-        tracemalloc.stop()
-        de._finish_many, game.backward = finish_many, backward
-    return counts, rows, held, dict(by_cell)
+        game.backward = backward
+    return counts, rows, held, {cell: v.tolist() for cell, v in by_cell.items()}
 
 
 def main(argv=None):
@@ -86,8 +95,7 @@ def main(argv=None):
     parser.add_argument("--set", dest="overrides", action="append", default=[], metavar="K=V")
     args = parser.parse_args(argv)
     try:
-        updates = runner.parse_overrides(args.overrides)
-        config = replace(runner.resolve_preset(args.preset), **updates)
+        config = runner.resolve_preset(args.preset, **runner.parse_overrides(args.overrides))
     except ValueError as exc:
         parser.error(str(exc))
     counts, rows, held, by_cell = count_ops(config)
