@@ -24,9 +24,15 @@ emission and scoring from the encoder's nodes and the Dyck decoder from the
 receiver's last nodes. Ended rows stay as frozen nodes (``alive`` False), so
 pruning and kink margins see the program of a loop over rows. ``lstm_cell``
 regroups h and c from the parent nodes in its record; ``_to_rows`` gathers
-the rest to parents or rows. Where the roots are distinct and in row order,
-as under the random strategy (its draws are per row, so its nodes stay the
-rows), every map is the identity and no gather runs.
+the stack and its read to the parents. Where the roots are distinct and in
+row order, as under the random strategy (its draws are per row, so its nodes
+stay the rows), every map is the identity and no gather runs.
+
+The rule: state lives on nodes. The LSTM states, the stack and its reads
+stay there, and every head (emission, prior, attribute, Dyck decoder)
+projects nodes. Rows appear only as the [B, V] logits a ``categorical``
+reads, gathered by ``_to_rows`` after the projection, and in the opt-in
+receiver trace.
 
 Each of log S with entropy H, log R and the prior's log P is one
 ``diffengine.categorical`` record over per-step logits. Meanings enter as
@@ -185,18 +191,11 @@ class LstmCell(ParamModule):
 @dataclass
 class NodeState:
     """An LSTM state on nodes, ``h`` and ``c`` [N, hidden], and each row's node
-    ``node`` [B]. Unpacks to the per-row (h, c); ``of`` takes such a pair as is."""
+    ``node`` [B]."""
 
     h: Tensor
     c: Tensor
     node: np.ndarray
-
-    @classmethod
-    def of(cls, state):
-        return state if isinstance(state, cls) else cls(*state, np.arange(state[0].shape[0]))
-
-    def __iter__(self):
-        return iter(_to_rows(self.node, self.h, self.c))
 
 
 def _unroll(cell, emb, out, state, steps, stop, next_symbol):
@@ -421,15 +420,16 @@ class Sender(ParamModule):
         self.out = Linear(rng, hidden, vocab, dtype)
 
     def encode(self, meanings):
-        """Initial state, a ``NodeState`` (unpacks to (h, c), each [B, hidden])."""
+        """Initial state, a ``NodeState``: one node per distinct meaning (per
+        distinct word prefix inside the Dyck encoder)."""
         return self.encoder(meanings)
 
     def _unroll(self, state, pick):
-        return _unroll(self.cell, self.emb, self.out, NodeState.of(state), self.max_len, EOS, pick)
+        return _unroll(self.cell, self.emb, self.out, state, self.max_len, EOS, pick)
 
     def emit(self, state, mode="sample", rng=None):
-        """Roll the policy out from ``encode``'s state or an (h, c) pair. ``mode``
-        is "sample" (needs ``rng``) or "greedy"; emission stops at EOS or ``max_len``."""
+        """Roll the policy out from ``encode``'s ``NodeState``. ``mode`` is
+        "sample" (needs ``rng``) or "greedy"; emission stops at EOS or ``max_len``."""
         if mode == "sample":
             if rng is None:
                 raise AgentError("sampling emission needs an rng")
@@ -446,7 +446,7 @@ class Sender(ParamModule):
     def score(self, state, messages):
         """Log S(m | state) for given messages, [B] on the active tape."""
         batch = as_message_batch(messages, self.max_len, self.vocab)
-        n = len(NodeState.of(state).node)
+        n = len(state.node)
         if len(batch) != n:
             raise AgentError(f"scored {len(batch)} messages against {n} states")
         symbols, alive, logits = self._unroll(state, lambda t, z: batch.symbols[:, t])
@@ -474,28 +474,19 @@ class StepTrace:
 
 @dataclass
 class EncodeResult:
-    """Controller output after consuming a message batch.
+    """Controller output after consuming a message batch, on nodes.
 
-    ``reads[t]`` is the stack read available *before* position t is consumed
-    (``reads[0]`` is the zero vector), which is exactly what the prior head
-    conditions on for symbol t (None unless there is a prior or a trace). ``h``
-    and ``c`` are on the last nodes; ``final_h``/``final_c`` gather them to rows.
+    ``state`` is the controller's ``NodeState`` after the last position.
+    ``reads[t] = (read, node)`` is the stack read available *before* position
+    t is consumed, [N, hidden] on the nodes of step t - 1, and the [B] node of
+    each row there (``reads[0]`` is the zero read of the roots): exactly what
+    the prior head conditions on for symbol t. ``trace`` is per row (None
+    unless asked for).
     """
 
-    h: Tensor
-    c: Tensor
-    reads: list | None
+    state: NodeState
+    reads: list
     trace: list | None = None
-    nodes: list | None = None  # per step, the [B] node index of each row (None: rows)
-
-    @property
-    def state(self):
-        node = np.arange(self.h.shape[0]) if self.nodes is None else self.nodes[-1]
-        return NodeState(self.h, self.c, node)
-
-    final = functools.cached_property(lambda self: tuple(self.state))
-    final_h = property(lambda self: self.final[0])
-    final_c = property(lambda self: self.final[1])
 
 
 class Receiver(ParamModule):
@@ -562,8 +553,8 @@ class Receiver(ParamModule):
         ``random_resample``; draws come from ``rng`` and bypass the tape.
 
         Each step runs once per distinct message prefix (see the module
-        docstring); the returned reads and traces are per row, the state is
-        on the last nodes, and ``nodes[t]`` maps each row to its node at step t.
+        docstring): the state and the reads stay on nodes, and only the
+        opt-in trace is gathered to rows.
         """
         batch = as_message_batch(messages, self.max_len, self.vocab)
         strategy = Strategy.parse(strategy)
@@ -580,14 +571,10 @@ class Receiver(ParamModule):
         roots = n if random else 1
         h, c, read = (de.zeros((roots, self.hidden), dtype=self.dtype) for _ in range(3))
         stack = StackState.empty(self.hidden, batch=roots, dtype=self.dtype)
-        want_reads = self.has_prior or want_trace
-        reads = [de.zeros((n, self.hidden), dtype=self.dtype)] if want_reads else None
-        trace = [] if want_trace else None
-        nodes = []
+        reads, trace = [(read, node)], [] if want_trace else None
         for t in range(t_max):
             alive = t < batch.lengths
             node, first, parent = _prefix_nodes(node, batch.symbols[:, t], alive, self.vocab)
-            nodes.append(node)
             live = alive[first]
             read, s, *vs = _to_rows(parent, read, stack.strengths, *stack.values)
             stack = StackState(tuple(vs), s, self.hidden)
@@ -607,12 +594,10 @@ class Receiver(ParamModule):
             stack, read = stack_step(
                 stack, StackDirectives(v=v, u=u, d=d, r=r), alive=live, prev_read=read
             )
-            if want_reads:
-                reads.append(_to_rows(node, read)[0])
+            reads.append((read, node))
             if want_trace:
-                v, u, d, r = _to_rows(node, v, u, d, r)
-                trace.append(StepTrace(v, reads[-1], u, d, r))
-        return EncodeResult(h, c, reads, trace, nodes)
+                trace.append(StepTrace(*_to_rows(node, v, read, u, d, r)))
+        return EncodeResult(NodeState(h, c, node), reads, trace)
 
     def reconstruct_logprob(self, enc, meanings):
         """log R(meaning | final state), [B] on the active tape: one step per
@@ -622,7 +607,7 @@ class Receiver(ParamModule):
             raise AgentError(f"got {len(meanings)} meanings for {n} encodings")
         ints, lengths = self.space.rows(meanings)
         if self.space.kind == "attr_val":
-            logits = [head(enc.final_h) for head in self.heads]
+            logits = _to_rows(enc.state.node, *(head(enc.state.h) for head in self.heads))
             symbols, alive = ints, np.ones(ints.shape, dtype=bool)
         else:
             t_tot = int(lengths.max()) + 1
@@ -640,14 +625,14 @@ class Receiver(ParamModule):
         decodes once. Dyck words decode token by token until END (or
         ``l_max`` tokens); a row that has produced END is frozen, so the
         decoder LSTM runs only on the rows still decoding."""
-        node = enc.state.node
+        h, c, node = enc.state.h, enc.state.c, enc.state.node
         if self.space.kind == "attr_val":
-            picks = np.stack([head(enc.h).data.argmax(axis=1) for head in self.heads], axis=1)
+            picks = np.stack([head(h).data.argmax(axis=1) for head in self.heads], axis=1)
             words = [tuple(p) for p in picks.tolist()]
         elif self.space.l_max == 0:
             return [()] * len(node)
         else:
-            roots, end = NodeState.of((enc.h, enc.c)), 2 * self.space.k
+            roots, end = NodeState(h, c, np.arange(h.shape[0])), 2 * self.space.k
             pick = lambda t, z: z.argmax(axis=1)
             symbols, alive, _ = _unroll(*self.decoder, roots, self.space.l_max, end, pick)
             # a word is its symbols up to, not including, END
@@ -659,8 +644,9 @@ class Receiver(ParamModule):
         """log P(message) = sum of per-position priors, [B] on the tape.
 
         ``reads`` comes from ``encode`` on the same messages; position t is
-        scored against ``reads[t]``. A message truncated at max length has no
-        EOS and simply contributes no EOS term.
+        scored against ``reads[t]``. The head projects each node's read once,
+        and one gather hands the [B, vocab] logits to the rows. A message
+        truncated at max length has no EOS and simply contributes no EOS term.
         """
         if not self.has_prior:
             raise MissingPriorError("this receiver was built without a prior head")
@@ -668,6 +654,6 @@ class Receiver(ParamModule):
         n, t_max = batch.symbols.shape
         if len(reads) < t_max:
             raise AgentError(f"need {t_max} reads, got {len(reads)}")
-        logits = [self.prior_out(reads[t]) for t in range(t_max)]
+        logits = [_to_rows(node, self.prior_out(read))[0] for read, node in reads[:t_max]]
         alive = np.arange(t_max) < batch.lengths[:, None]
         return de.categorical(logits, batch.symbols, alive)[0]

@@ -49,8 +49,9 @@ def comacc(sender, receiver, meanings, strategy, eval_rng=None, draws=1, memo=No
     Deterministic given (parameters, meanings, strategy, rng state, draws);
     for non-random strategies extra draws are skipped since every draw would
     decode identically. A dict passed as ``memo`` receives the greedy message
-    batch and, for the deterministic strategies, the receiver's reads, so
-    ``mean_log_prior`` on the same split can skip that work.
+    batch and, for the deterministic strategies, the receiver's reads as
+    ``encode`` returns them (each step's reads on its prefix nodes, with each
+    row's node), so ``mean_log_prior`` on the same split can skip that work.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")

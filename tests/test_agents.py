@@ -5,6 +5,7 @@ import pytest
 
 from eclab import agents as agents_module
 from eclab import diffengine as de
+from eclab import game, runner
 from eclab.agents import (
     EOS,
     AgentError,
@@ -13,6 +14,7 @@ from eclab.agents import (
     Message,
     MessageBatch,
     MissingPriorError,
+    NodeState,
     Receiver,
     Sender,
     StepTrace,
@@ -48,6 +50,16 @@ def small_receiver(space, seed=1, vocab=3, max_len=3, with_prior=False, dtype=np
         **kw,
     )
     return Receiver(space, config, np.random.default_rng(seed), dtype)
+
+
+def state_rows(state):
+    """A ``NodeState``'s h and c gathered to its rows, [B, hidden] each."""
+    return de.gather_rows((state.h, state.c), state.node)
+
+
+def row_reads(enc):
+    """An encode's reads gathered to rows, [B, hidden] each."""
+    return [de.gather_rows((read,), node)[0] for read, node in enc.reads]
 
 
 def all_messages(vocab, max_len):
@@ -222,7 +234,7 @@ def test_one_hot_encoder_feeds_the_encode_meaning_rows():
     sp = attr_space()
     s = small_sender(sp)
     ms = [sp.meanings[i] for i in (4, 0, 8, 4)]
-    h, c = s.encode(ms)
+    h, c = state_rows(s.encode(ms))
     rows = np.stack([encode_meaning(m, sp, np.float64) for m in ms])
     hc = s.encoder.lin(tensor(rows, dtype=np.float64))
     assert np.array_equal(np.concatenate([h.data, c.data], axis=1), hc.data)
@@ -231,9 +243,9 @@ def test_one_hot_encoder_feeds_the_encode_meaning_rows():
 def test_dyck_sender_handles_empty_word():
     sp = dyck_space()
     s = small_sender(sp)
-    h, c = s.encode([()])
-    assert h.shape == (1, 10) and c.shape == (1, 10)
-    res = s.emit((h, c), mode="greedy")
+    state = s.encode([()])
+    assert state.h.shape == (1, 10) and state.c.shape == (1, 10)
+    res = s.emit(state, mode="greedy")
     assert len(res.messages) == 1
 
 
@@ -297,15 +309,11 @@ def test_receiver_batching_matches_single():
     sp = attr_space()
     r = small_receiver(sp)
     batch = msgs_batch([(2, 0), (1, 2, 1)])
-    joint = r.encode(batch, "learned")
+    joint = state_rows(r.encode(batch, "learned").state)
     for i, seq in enumerate([(2, 0), (1, 2, 1)]):
-        solo = r.encode(msgs_batch([seq]), "learned")
-        np.testing.assert_allclose(
-            solo.final_h.data[0], joint.final_h.data[i], atol=1e-12
-        )
-        np.testing.assert_allclose(
-            solo.final_c.data[0], joint.final_c.data[i], atol=1e-12
-        )
+        solo = state_rows(r.encode(msgs_batch([seq]), "learned").state)
+        for a, b in zip(solo, joint, strict=True):
+            np.testing.assert_allclose(a.data[0], b.data[i], atol=1e-12)
 
 
 def test_attr_reconstruction_is_a_distribution():
@@ -358,8 +366,8 @@ def test_greedy_decode_picks_argmax_meaning():
 def unmasked_greedy_decode(r, enc):
     """The decode loop with every row kept running until all are done."""
     end = 2 * r.space.k
-    n = enc.final_h.shape[0]
-    h, c = enc.final_h, enc.final_c
+    h, c = state_rows(enc.state)
+    n = h.shape[0]
     x = de.zeros((n, r.embedding), dtype=r.dtype)
     done = np.zeros(n, dtype=bool)
     words = [[] for _ in range(n)]
@@ -407,7 +415,7 @@ def looped_dyck_logprob(r, enc, meanings):
     targets = np.full((n, t_tot), end, dtype=np.int64)
     for b, m in enumerate(meanings):
         targets[b, : len(m)] = m
-    h, c = enc.final_h, enc.final_c
+    h, c = state_rows(enc.state)
     x = de.zeros((n, r.embedding), dtype=r.dtype)
     total = None
     for t in range(t_tot):
@@ -454,7 +462,7 @@ def test_prior_is_a_distribution_over_messages():
     enc = r.encode(batch, "learned")
     logp = r.message_log_prior(batch, enc.reads)
     assert np.exp(logp.data).sum() == pytest.approx(1.0, abs=1e-10)
-    step = de.log_softmax(r.prior_out(enc.reads[0]))
+    step = de.log_softmax(r.prior_out(enc.reads[0][0]))
     np.testing.assert_allclose(np.exp(step.data).sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -576,7 +584,8 @@ def test_truncated_message_has_no_eos_term():
     # manually: sum of the three symbol terms only
     expect = 0.0
     for t in range(3):
-        step = de.log_softmax(r.prior_out(enc.reads[t])).data[0]
+        read, node = enc.reads[t]
+        step = de.log_softmax(r.prior_out(read)).data[node[0]]
         expect += step[full.symbols[0, t]]
     assert lp_full == pytest.approx(expect, rel=1e-12)
 
@@ -591,6 +600,7 @@ def row_encode(r, batch, strategy, rng=None, depths=None):
     collects the stack depth after each step."""
     strategy = Strategy.parse(strategy)
     n, t_max = batch.symbols.shape
+    rows = np.arange(n)
     h, c, read = (de.zeros((n, r.hidden), dtype=r.dtype) for _ in range(3))
     stack = StackState.empty(r.hidden, batch=n, dtype=r.dtype)
     reads, trace = [read], []
@@ -620,7 +630,7 @@ def row_encode(r, batch, strategy, rng=None, depths=None):
             depths.append(stack.depth)
         reads.append(read)
         trace.append(StepTrace(push_value=v, read=read, u=u, d=d, r=rr))
-    return EncodeResult(h, c, reads, trace)
+    return EncodeResult(NodeState(h, c, rows), [(read, rows) for read in reads], trace)
 
 
 # duplicates, shared prefixes, finished rows next to running ones, a message
@@ -635,7 +645,7 @@ ENCODE_CASES = [
 
 
 def _encode_outputs(enc):
-    out = [enc.final_h, enc.final_c, *enc.reads]
+    out = [*state_rows(enc.state), *row_reads(enc)]
     for tr in enc.trace:
         out += [tr.push_value, tr.read, tr.u, tr.d, tr.r]
     return out
@@ -711,8 +721,8 @@ def test_encode_runs_one_node_per_distinct_prefix(monkeypatch):
     n, vocab = len(batch), r.vocab
     for strategy in ("learned", "left"):
         stacks.clear()
-        enc = r.encode(batch, strategy)
-        for t, node in enumerate(enc.nodes):
+        nodes = [node for _, node in r.encode(batch, strategy).reads[1:]]
+        for t, node in enumerate(nodes):
             # EOS-padded prefixes up to t, with finished rows marked
             prefixes = {
                 (tuple(batch.symbols[b, : t + 1]), bool(t < batch.lengths[b])) for b in range(n)
@@ -724,12 +734,12 @@ def test_encode_runs_one_node_per_distinct_prefix(monkeypatch):
                     same = np.array_equal(batch.symbols[a, : t + 1], batch.symbols[b, : t + 1])
                     assert (node[a] == node[b]) == same
         # the stack runs on the nodes
-        assert [width for _, width in stacks] == [node.max() + 1 for node in enc.nodes]
+        assert [width for _, width in stacks] == [node.max() + 1 for node in nodes]
     enc = r.encode(batch, "random", rng=np.random.default_rng(0))
-    assert all(np.array_equal(node, np.arange(n)) for node in enc.nodes)
+    assert all(np.array_equal(node, np.arange(n)) for _, node in enc.reads)
 
 
-def test_encode_gathers_per_row_reads_only_for_the_prior_and_the_trace():
+def test_encode_gathers_per_row_only_for_the_trace():
     batch = msgs_batch(SHARED_SEQS, max_len=5)
     t_max = batch.symbols.shape[1]
     gathers, reads = {}, {}
@@ -739,11 +749,77 @@ def test_encode_gathers_per_row_reads_only_for_the_prior_and_the_trace():
             enc = r.encode(batch, "learned", want_trace=want_trace)
         gathers[with_prior, want_trace] = [op for *_, op in tape._nodes].count("gather_rows")
         reads[with_prior, want_trace] = enc.reads
-    assert reads[False, False] is None
-    assert len(reads[True, False]) == len(reads[False, True]) == t_max + 1
-    # every step of this batch shares nodes, so each per-row read is one gather
-    assert gathers[True, False] == gathers[False, False] + t_max
-    assert gathers[False, True] == gathers[False, False] + 2 * t_max
+    # the zero read, then one per position, each on its step's nodes
+    for rs in reads.values():
+        assert len(rs) == t_max + 1
+        assert [read.shape[0] for read, _ in rs] == [node.max() + 1 for _, node in rs]
+    assert all(node.max() + 1 < len(batch) for _, node in reads[True, False])
+    # a prior gathers nothing; every step of this batch shares nodes, so the
+    # trace is one gather per step
+    assert gathers[True, False] == gathers[False, False]
+    assert gathers[False, True] == gathers[False, False] + t_max
+
+
+def row_message_log_prior(r, batch, reads_on_rows):
+    """The prior head projecting reads already gathered to rows: the
+    reference ``message_log_prior``, which projects nodes, must agree with."""
+    total = None
+    for t in range(batch.symbols.shape[1]):
+        term = de.take_last(de.log_softmax(r.prior_out(reads_on_rows[t])), batch.symbols[:, t])
+        if not (t < batch.lengths).all():
+            term = de.mul(term, de.Tensor._wrap((t < batch.lengths).astype(r.dtype)))
+        total = term if total is None else de.add(total, term)
+    return total
+
+
+def row_attr_logprob(r, enc, meanings):
+    """The attribute heads on the final state gathered to rows: the reference
+    ``reconstruct_logprob``, which projects nodes, must agree with."""
+    h, _ = state_rows(enc.state)
+    ints, _ = r.space.rows(meanings)
+    total = None
+    for a, head in enumerate(r.heads):
+        term = de.take_last(de.log_softmax(head(h)), ints[:, a])
+        total = term if total is None else de.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("strategy", ["learned", "left", "random"])
+@pytest.mark.parametrize("kind", ["attr", "dyck"])
+def test_prior_and_reconstruction_on_nodes_match_the_row_references(kind, strategy):
+    space = attr_space() if kind == "attr" else enumerate_dyck(2, 8)
+    r = spread_params(small_receiver(space, seed=3, max_len=5, with_prior=True), 2.0)
+    batch = msgs_batch(SHARED_SEQS, max_len=5)
+    if kind == "attr":
+        meanings = [space.meanings[i % len(space.meanings)] for i in (0, 4, 0, 7, 2, 8, 5, 4, 1, 3)]
+        recon_rows = lambda enc, ms: row_attr_logprob(r, enc, ms)
+    else:
+        meanings = SHARED_WORDS[: len(SHARED_SEQS)]
+        recon_rows = lambda enc, ms: looped_dyck_logprob(r, enc, ms)
+    rng = np.random.default_rng(9)
+    weights = [tensor(rng.standard_normal(len(batch)), dtype=np.float64) for _ in range(2)]
+    cases = (
+        (r.message_log_prior, r.reconstruct_logprob),
+        (lambda b, reads: row_message_log_prior(r, b, reads), recon_rows),
+    )
+    out = []
+    for (prior, recon), on_rows in zip(cases, (False, True)):
+        with Tape() as tape:
+            enc = r.encode(batch, strategy, rng=np.random.default_rng(4))
+            lp = prior(batch, row_reads(enc) if on_rows else enc.reads)
+            lr = recon(enc, meanings)
+            loss = de.add(*(de.reduce_sum(de.mul(t, w)) for t, w in zip((lp, lr), weights)))
+        g = backward(tape, loss)
+        out.append(((lp.data, lr.data), {k: g[p] for k, p in r.named_parameters().items()}))
+    (got, g_got), (want, g_want) = out
+    # learned and left share nodes, so the node path projects fewer rows
+    assert bool(enc.state.node.max() + 1 < len(batch)) is (strategy != "random")
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    for name, g in g_want.items():
+        np.testing.assert_allclose(g_got[name], g, rtol=0, atol=1e-12 * max(1.0, np.abs(g).max()), err_msg=name)
+    assert np.any(g_got["prior_out.W"] != 0)
+    assert np.any(g_got["heads.0.W" if kind == "attr" else "dec_out.W"] != 0)
 
 
 def test_frozen_nodes_keep_the_row_level_kink_margin():
@@ -757,7 +833,7 @@ def test_frozen_nodes_keep_the_row_level_kink_margin():
     def program(encode):
         def f(x):
             r.set_parameters({"to_u.w": x})
-            return de.reduce_sum(encode().final_h)
+            return de.reduce_sum(state_rows(encode().state)[0])
 
         return f
 
@@ -770,11 +846,11 @@ def test_greedy_decode_once_per_final_node_decodes_every_row():
     batch = msgs_batch(SHARED_SEQS, max_len=5)
     rd = spread_params(small_receiver(enumerate_dyck(2, 8), seed=3, max_len=5))
     enc = rd.encode(batch, "learned")
-    assert enc.nodes[-1].max() + 1 < len(batch)  # duplicates share a node
+    assert enc.state.node.max() + 1 < len(batch)  # duplicates share a node
     assert rd.greedy_decode(enc) == unmasked_greedy_decode(rd, enc)
     ra = spread_params(small_receiver(attr_space(), seed=3, max_len=5))
     enc = ra.encode(batch, "learned")
-    picks = [head(enc.final_h).data.argmax(axis=1) for head in ra.heads]
+    picks = [head(state_rows(enc.state)[0]).data.argmax(axis=1) for head in ra.heads]
     assert ra.greedy_decode(enc) == [tuple(int(p[b]) for p in picks) for b in range(len(batch))]
 
 
@@ -831,7 +907,7 @@ def _token_encode_grads(encoder, encode):
 @pytest.mark.parametrize("words", WORD_BATCHES.values(), ids=WORD_BATCHES.keys())
 def test_prefix_shared_token_encoder_matches_row_encode(words):
     encoder = _dyck_encoder()
-    got_out, got = _token_encode_grads(encoder, lambda: encoder(words))
+    got_out, got = _token_encode_grads(encoder, lambda: state_rows(encoder(words)))
     want_out, want = _token_encode_grads(encoder, lambda: row_token_encode(encoder, words))
     for a, b in zip(got_out, want_out, strict=True):
         assert a.shape == b.shape == (len(words), encoder.h0.shape[0])
@@ -916,7 +992,7 @@ def _emit_on_rows(s, state, mode, batch):
         pick = _sampler(np.random.default_rng(5))
     else:
         pick = lambda t, z: de.log_softmax_array(z)[0].argmax(axis=1)
-    h, c = state
+    h, c = state_rows(state)
     symbols, alive, logits = row_unroll(s.cell, s.emb, s.out, h, c, s.max_len, EOS, pick)
     logp, ent, step_lp, step_ent = de.categorical(logits, symbols, alive)
     return (logp,) if mode == "score" else (symbols, logp, ent, step_lp, step_ent)
@@ -1071,3 +1147,24 @@ def test_no_gather_where_every_map_is_the_identity(monkeypatch):
     assert gathers == []
     comacc(s, ra, sp.meanings, "random", eval_rng=np.random.default_rng(0))
     assert gathers == []
+
+
+@pytest.mark.parametrize("preset", ["smoke-attrval", "smoke-dyck"])
+def test_a_rewo_step_gathers_no_hidden_state_to_rows(preset, monkeypatch):
+    # hidden 24 differs from the embedding (32), the vocab (4), n_val (4) and
+    # the Dyck decoder's tokens (9), so a [B, 24] gather is a state's
+    config = runner.resolve_preset(preset, beta_mode="rewo", hidden=24, batch_size=64)
+    state = runner.start(config, np.float32)
+    shapes, backward = [], game.backward
+
+    def recording(tape, *args, **kwargs):
+        shapes.extend(o.shape for outs, _, _, op in tape._nodes if op == "gather_rows" for o in outs)
+        return backward(tape, *args, **kwargs)
+
+    monkeypatch.setattr(game, "backward", recording)
+    state.step()
+    # rows appear only as the logits the categoricals read
+    assert (64, config.vocab) in shapes
+    assert (64, 24) not in shapes
+    # what is 24 wide regroups the stack and its read from node to parent node
+    assert all(n < 64 for n, *width in shapes if width == [24])

@@ -1,5 +1,5 @@
-"""``tools/grad_hash.py`` prints one sha256 per training case, the same on
-every run of one tree."""
+"""``tools/grad_hash.py`` prints one sha256 per training case, over its
+steps and the evaluation after them, the same on every run of one tree."""
 
 import importlib.util
 import itertools
@@ -41,6 +41,16 @@ def test_save_then_against_one_tree_prints_zero_for_every_case(tmp_path, capsys)
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[:5] for line in lines] == saved  # the sha256 lines stay
     assert [line[5] for line in lines] == ["0.0"] * 24
+    # each case's evaluation: the train and test ComAcc, then under rewo the
+    # train and test mean log prior
+    arrays = np.load(path)
+    evals = {key.rsplit("/", 1)[0]: arrays[key] for key in arrays.files if key.endswith("/eval")}
+    assert len(evals) == 24
+    for case, values in evals.items():
+        assert len(values) == (4 if "/rewo/" in case else 2), case
+        assert all(0.0 <= v <= 1.0 for v in values[:2])
+        assert all(np.isfinite(v) and v < 0.0 for v in values[2:])
+    assert any(values[0] > 0.0 for values in evals.values())
 
 
 def test_max_rel_diff_scales_by_the_saved_array():
@@ -48,3 +58,13 @@ def test_max_rel_diff_scales_by_the_saved_array():
     assert grad_hash.max_rel_diff({k: v.copy() for k, v in saved.items()}, saved) == 0.0
     assert grad_hash.max_rel_diff({"0/w": np.array([2.0, -3.0])}, saved) == 0.25
     assert grad_hash.max_rel_diff({"0/stats": np.array([1.0, 0.0])}, saved) == np.inf
+
+
+def test_the_digest_covers_the_evaluation(monkeypatch):
+    case = ("smoke-attrval", "learned", "rewo", np.float64)
+    digest, arrays = grad_hash.run_case(*case)
+    moved = [*arrays["eval"][:-1], arrays["eval"][-1] + 1e-12]
+    monkeypatch.setattr(grad_hash, "evaluate", lambda state: moved)
+    other, other_arrays = grad_hash.run_case(*case)
+    assert other != digest
+    assert grad_hash.max_rel_diff(other_arrays, arrays) > 0.0

@@ -1,4 +1,5 @@
-"""Print one sha256 per training case over three steps' gradients and stats.
+"""Print one sha256 per training case over three steps' gradients and stats
+and the evaluation after them.
 
     PYTHONPATH=src python3 tools/grad_hash.py [--save FILE.npz] [--against FILE.npz]
 
@@ -6,20 +7,23 @@ The cases are smoke-attrval and smoke-dyck × learned/left/random ×
 beta_mode off/rewo × float32/float64, at hidden 32 and batch 64. Each case
 starts the preset's ``runner.RunState`` as ``eclab run`` does and takes its
 first three steps (``game.play_batch``, the Adam update and, under rewo, the
-beta controller). The digest covers every gradient, by parameter name,
-and every ``StepStats`` field of the three steps. Each line reads
-``preset strategy beta_mode dtype sha256``.
+beta controller), then evaluates as ``eclab run`` does: ``metrics.comacc``
+on the train and test splits and, under rewo, ``metrics.mean_log_prior`` on
+both, drawing from the run's ``eval`` stream. The digest covers every
+gradient, by parameter name, every ``StepStats`` field of the three steps and
+the evaluation's values. Each line reads ``preset strategy beta_mode dtype sha256``.
 
 Two trees compute the same numbers exactly when their outputs are the same,
 so a refactor that should not change a bit is checked by running this
 script on both trees and comparing the two outputs with ``diff``.
 
 A change that may move round-off is checked against the numbers instead.
-``--save FILE.npz`` writes every gradient and stat the digests cover, and
-``--against FILE.npz`` (written by ``--save`` on another tree) adds to each
-line the case's largest relative difference: over its arrays, the largest
-``max|a - b| / max|b|``, where a NaN on both sides counts as equal and a NaN
-on one side as infinitely far.
+``--save FILE.npz`` writes every gradient, stat and evaluation value the
+digests cover, and ``--against FILE.npz`` (written by ``--save`` on another
+tree) adds to each line the case's largest relative difference: over its
+arrays, the largest ``max|a - b| / max|b|``, where a NaN on both sides counts
+as equal and a NaN on one side as infinitely far. Run one copy of this script
+on both trees, so both save the same arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import sys
 
 import numpy as np
 
-from eclab import runner
+from eclab import metrics, runner
 
 PRESETS = ("smoke-attrval", "smoke-dyck")
 STRATEGIES = ("learned", "left", "random")
@@ -41,10 +45,31 @@ DTYPES = (np.float32, np.float64)
 STEPS = 3
 
 
+def evaluate(state):
+    """The train and test ComAcc and, under rewo, the train and test mean log
+    prior, in the order ``eclab run`` computes them from one ``eval`` stream."""
+    eval_rng = runner.stream_generator(state.config.seed, "eval")
+    agents, strategy = (state.sender, state.receiver), state.config.strategy
+    splits = (state.train, state.test)
+    rewo = state.config.beta_mode == "rewo"
+    memos = [{} if rewo else None for _ in splits]
+    values = [
+        metrics.comacc(*agents, m, strategy, eval_rng, draws=state.config.eval_draws, memo=memo)
+        for m, memo in zip(splits, memos)
+    ]
+    if rewo:
+        values += [
+            metrics.mean_log_prior(*agents, m, strategy, eval_rng, memo=memo)
+            for m, memo in zip(splits, memos)
+        ]
+    return values
+
+
 def run_case(preset, strategy, beta_mode, dtype):
-    """sha256 hex digest of ``STEPS`` steps of one case, and the arrays it
-    covers: ``<step>/<parameter>`` gradients and ``<step>/stats``, the
-    ``StepStats`` fields as float64 (None as NaN)."""
+    """sha256 hex digest of ``STEPS`` steps and the evaluation of one case,
+    and the arrays it covers: ``<step>/<parameter>`` gradients, ``<step>/stats``,
+    the ``StepStats`` fields as float64 (None as NaN), and ``eval``, the
+    values of ``evaluate``."""
     config = runner.resolve_preset(
         preset, strategy=strategy, beta_mode=beta_mode, hidden=32, batch_size=64
     )
@@ -59,6 +84,9 @@ def run_case(preset, strategy, beta_mode, dtype):
         fields = dataclasses.astuple(stats)
         digest.update(repr(fields).encode())
         arrays[f"{step}/stats"] = np.array([np.nan if v is None else v for v in fields])
+    values = evaluate(state)
+    digest.update(repr(values).encode())
+    arrays["eval"] = np.array(values)
     return digest.hexdigest(), arrays
 
 
