@@ -15,7 +15,8 @@ independently of each other.
 
 What a run carries from one training step to the next (its splits, streams,
 agents, optimiser, baseline, KL-weight controller and iteration count) is one
-``RunState``, built by ``start`` and moved forward by ``RunState.step``.
+``RunState``, built by ``start``, moved forward by ``RunState.step`` and
+measured at each evaluation point by ``RunState.evaluate``.
 """
 
 from __future__ import annotations
@@ -304,16 +305,15 @@ def split_space(config):
 
 
 def _start_rewo(config):
-    """The KL-weight controller a run starts with (None unless ``beta_mode``
-    is rewo) and the beta of its first step."""
-    rewo = RewoState.from_config(config) if config.beta_mode == "rewo" else None
-    return rewo, rewo.beta if rewo else 0.0
+    """The KL-weight controller a run starts with, None unless ``beta_mode``
+    is rewo."""
+    return RewoState.from_config(config) if config.beta_mode == "rewo" else None
 
 
 @dataclass
 class RunState:
     """What a run carries from one training step to the next, ``iteration``
-    steps in; ``params`` is the joint parameter table the agents hold."""
+    steps in. The parameters are the agents' own and beta is ``rewo``'s."""
 
     config: RunConfig
     train: list
@@ -321,12 +321,15 @@ class RunState:
     streams: dict
     sender: Sender
     receiver: Receiver
-    params: dict
     opt: AdamState
     baseline: BaselineState
     rewo: RewoState | None
-    beta: float
     iteration: int = 0
+
+    @property
+    def beta(self):
+        """The KL weight of the next step: the controller's, 0.0 without one."""
+        return self.rewo.beta if self.rewo is not None else 0.0
 
     def step(self):
         """One training iteration: a batch of train meanings drawn from the
@@ -338,13 +341,35 @@ class RunState:
             rng=self.streams["sender"], baseline=self.baseline, beta=self.beta,
             branch_rng=self.streams["branching"],
         )
-        self.params = adam_step(self.opt, self.params, grads)
-        load_parameters(self.sender, self.receiver, self.params)
+        params = adam_step(self.opt, joint_parameters(self.sender, self.receiver), grads)
+        load_parameters(self.sender, self.receiver, params)
         if self.rewo is not None:
             self.rewo = rewo_update(self.rewo, stats.recon_loss)
-            self.beta = self.rewo.beta
         self.iteration += 1
         return stats, grads
+
+    def evaluate(self):
+        """The evaluation values of a ``metrics.csv`` row, by field name:
+        ComAcc on the train and test splits, then under rewo the mean log
+        prior on both (NaN without rewo). All draws come from the stream
+        ``eval/<iteration>``, both ComAccs' before either log prior's, so
+        evaluating moves no stream that training draws from."""
+        eval_rng = stream_generator(self.config.seed, f"eval/{self.iteration}")
+        agents, strategy = (self.sender, self.receiver), self.config.strategy
+        splits = {"train": self.train, "test": self.test}
+        # ComAcc leaves each split's greedy messages (and, for the
+        # deterministic strategies, its reads) for the log prior to reuse.
+        memos = {name: {} if self.rewo is not None else None for name in splits}
+        values = {
+            f"comacc_{name}": comacc(*agents, meanings, strategy, eval_rng,
+                                     draws=self.config.eval_draws, memo=memos[name])
+            for name, meanings in splits.items()
+        }
+        for name, meanings in splits.items():
+            values[f"mean_log_prior_{name}"] = math.nan if self.rewo is None else mean_log_prior(
+                *agents, meanings, strategy, eval_rng, memo=memos[name]
+            )
+        return values
 
 
 def start(config, dtype):
@@ -354,9 +379,8 @@ def start(config, dtype):
     streams = seed_streams(config.seed)
     sender, receiver = build_agents(space, config, streams["init"], dtype=dtype)
     return RunState(
-        config, train, test, streams, sender, receiver, joint_parameters(sender, receiver),
-        AdamState(lr=config.lr, l2=config.l2), BaselineState(decay=config.baseline_decay),
-        *_start_rewo(config),
+        config, train, test, streams, sender, receiver, AdamState(lr=config.lr, l2=config.l2),
+        BaselineState(decay=config.baseline_decay), _start_rewo(config),
     )
 
 
@@ -378,8 +402,6 @@ def run(config, out_dir=None):
     config = replace(config, out_dir=str(out))
     deterministic = os.environ.get("ECLAB_DETERMINISTIC") == "1"
     dtype = np.float64 if deterministic else np.float32
-    strategy = Strategy.parse(config.strategy)
-    use_prior = config.beta_mode == "rewo"
     state = start(config, dtype)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -391,70 +413,42 @@ def run(config, out_dir=None):
         stale.unlink(missing_ok=True)
     refusal = memory_refusal(config, np.dtype(dtype).itemsize)
     if refusal is not None:
-        return _finish_run(config, out, [], state.beta, refusal, 0.0)
+        return _finish_run(config, out, [], state.rewo, refusal, 0.0)
 
     eval_at = set(_eval_points(config))
     records = []
     error = None
     started = time.monotonic()
-
-    def evaluate(stats):
-        eval_rng = stream_generator(config.seed, f"eval/{state.iteration}")
-        agents = (state.sender, state.receiver)
-        splits = {"train": state.train, "test": state.test}
-        # ComAcc leaves each split's greedy messages (and, for the
-        # deterministic strategies, its reads) for the log prior to reuse.
-        # Both ComAccs draw from eval_rng before either log prior does.
-        memos = {name: {} if use_prior else None for name in splits}
-        values = {
-            f"comacc_{name}": comacc(
-                *agents, meanings, strategy, eval_rng, draws=config.eval_draws, memo=memos[name]
-            )
-            for name, meanings in splits.items()
-        }
-        for name, meanings in splits.items():
-            values[f"mean_log_prior_{name}"] = (
-                mean_log_prior(*agents, meanings, strategy, eval_rng, memo=memos[name])
-                if use_prior
-                else math.nan
-            )
-        rec = MetricsRecord(
-            iteration=state.iteration,
-            **values,
-            recon_loss=stats.recon_loss,
-            kl=stats.kl,
-            beta=stats.beta,
-            entropy=stats.entropy,
-            wall_seconds=0.0 if deterministic else time.monotonic() - started,
-        )
-        records.append(rec)
-        append_metrics(metrics_path, rec)
-
     try:
         while state.iteration < config.iterations:
             stats = state.step()[0]  # its gradients are not kept through the next step's peak
-            if state.iteration in eval_at:
-                evaluate(stats)
-                if (
-                    config.stop_comacc_train > 0.0
-                    and records[-1].comacc_train >= config.stop_comacc_train
-                ):
-                    break
+            if state.iteration not in eval_at:
+                continue
+            rec = MetricsRecord(
+                state.iteration, **state.evaluate(), recon_loss=stats.recon_loss, kl=stats.kl,
+                beta=stats.beta, entropy=stats.entropy,
+                wall_seconds=0.0 if deterministic else time.monotonic() - started,
+            )
+            records.append(rec)
+            append_metrics(metrics_path, rec)
+            if 0.0 < config.stop_comacc_train <= rec.comacc_train:
+                break
     except NonFiniteLossError as exc:
         error = f"{exc} | details: {exc.details}"
     wall = 0.0 if deterministic else time.monotonic() - started
-    return _finish_run(config, out, records, state.beta, error, wall)
+    return _finish_run(config, out, records, state.rewo, error, wall)
 
 
-def _finish_run(config, out, records, beta, error, wall_seconds, usage=None):
-    """Write ``summary.json`` for a run that ended (or was refused). Its peak
-    RSS is ``usage.ru_maxrss``, this process's unless a child's rusage is
-    given, and 0 under ``ECLAB_DETERMINISTIC=1`` like its wall time."""
-    use_prior = config.beta_mode == "rewo"
+def _finish_run(config, out, records, rewo, error, wall_seconds, usage=None):
+    """Write ``summary.json`` for a run that ended (or was refused) with the
+    KL-weight controller ``rewo`` (None without one). Its peak RSS is
+    ``usage.ru_maxrss``, this process's unless a child's rusage is given, and
+    0 under ``ECLAB_DETERMINISTIC=1`` like its wall time."""
+    beta = rewo.beta if rewo is not None else 0.0
     usage = usage or resource.getrusage(resource.RUSAGE_SELF)
     deterministic = os.environ.get("ECLAB_DETERMINISTIC") == "1"
     final = records[-1] if records else None
-    kept = (not error) and (run_filter(beta) if use_prior else True)
+    kept = (not error) and (rewo is None or run_filter(beta))
     summary = {
         "preset": config.preset,
         "strategy": Strategy.parse(config.strategy).value,
@@ -529,7 +523,7 @@ def _reap(config, run_dir, status, usage):
     else:
         lines = (run_dir / "child.log").read_text(errors="replace").splitlines()
         error = f"exit code {code}: {lines[-1] if lines else ''}"
-    _finish_run(config, run_dir, [], _start_rewo(config)[1], error, 0.0, usage)
+    _finish_run(config, run_dir, [], _start_rewo(config), error, 0.0, usage)
 
 
 def sweep(preset, strategies=DEFAULT_STRATEGIES, seeds=24, jobs=1, out_root=None,

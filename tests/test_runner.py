@@ -382,12 +382,16 @@ def test_traced_benchmark_sees_every_runner_call_under_its_root(tmp_path, monkey
 
 
 def test_run_and_both_tools_take_the_same_first_step(tmp_path, monkeypatch):
-    # a rewo run plays its first batch at beta0, and both tools measure that step
+    # a rewo run plays its first batch at beta0, and both tools measure that
+    # step; after three steps grad_hash evaluates what eclab run logs (random
+    # rewo draws directives in ComAcc and the log prior, from eval/<iteration>)
     tape_ops = _load(monkeypatch, "tools/tape_ops.py")
     grad_hash = _load(monkeypatch, "tools/grad_hash.py")
     config = resolve_preset(
-        "smoke-attrval", beta_mode="rewo", hidden=32, batch_size=64, iterations=1
+        "smoke-attrval", strategy="random", beta_mode="rewo", hidden=32, batch_size=64,
+        iterations=grad_hash.STEPS, eval_every=grad_hash.STEPS,
     )
+    monkeypatch.setenv("ECLAB_DETERMINISTIC", "1")  # float64, as the grad_hash case
     calls, play_batch = [], runner_module.play_batch
 
     def recording(sender, receiver, meanings, config, rng, baseline, beta=0.0, branch_rng=None):
@@ -396,15 +400,37 @@ def test_run_and_both_tools_take_the_same_first_step(tmp_path, monkeypatch):
 
     def first_step(fn, *args):
         calls.clear()
-        fn(*args)
+        out = fn(*args)
         assert calls, f"{fn.__name__} played no batch through runner.play_batch"
-        return calls[0]
+        return calls[0], out
 
     monkeypatch.setattr(runner_module, "play_batch", recording)
-    first = first_step(run, config, tmp_path / "r")
+    first, _ = first_step(run, config, tmp_path / "r")
     assert first[1] == config.beta0 == 1e-3
-    assert first_step(tape_ops.count_ops, config) == first
-    assert first_step(grad_hash.run_case, "smoke-attrval", "learned", "rewo", np.float64) == first
+    assert first_step(tape_ops.count_ops, config)[0] == first
+    step, (_, arrays) = first_step(grad_hash.run_case, "smoke-attrval", "random", "rewo", np.float64)
+    assert step == first
+    (row,) = read_metrics(tmp_path / "r" / "metrics.csv")
+    logged = [row.comacc_train, row.comacc_test, row.mean_log_prior_train, row.mean_log_prior_test]
+    assert logged == arrays["eval"].tolist()
+
+
+def test_evaluating_leaves_training_untouched():
+    config = resolve_preset(
+        "smoke-attrval", strategy="random", beta_mode="rewo", hidden=32, batch_size=64
+    )
+    evaluated, plain = (runner_module.start(config, np.float64) for _ in range(2))
+    for _ in range(2):
+        evaluated.step(), plain.step()
+    evaluated.evaluate()
+    (stats, grads), (plain_stats, plain_grads) = evaluated.step(), plain.step()
+    assert stats == plain_stats
+    assert grads.keys() == plain_grads.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == plain_grads[name].tobytes(), name
+    for name in ("batch", "sender", "branching"):
+        assert (evaluated.streams[name].bit_generator.state
+                == plain.streams[name].bit_generator.state), name
 
 
 def test_preflight_passes_every_benchmark_workload_and_test_preset(monkeypatch):

@@ -65,14 +65,15 @@ def count_ops(config):
     first outputs, and the bytes of the buffers they hold; and the same three
     for each cell's ``lstm_cell`` records, as cell name -> [records, rows, bytes]."""
     state = runner.start(config, np.float32)
-    cells = {id(t): n.removesuffix(".W") for n, t in state.params.items() if n.endswith("cell.W")}
+    params = game.joint_parameters(state.sender, state.receiver)
+    cells = {id(t): n.removesuffix(".W") for n, t in params.items() if n.endswith("cell.W")}
     counts, rows, held = (collections.Counter() for _ in range(3))
     by_cell = collections.defaultdict(lambda: np.zeros(3, dtype=np.int64))
     backward = game.backward
 
     def counted(tape, *args, **kwargs):
         seen = set()
-        _held(state.params.values(), seen)
+        _held(params.values(), seen)
         for outs, inputs, bw, op in tape._nodes:
             record = (1, (outs[0].shape or (1,))[0], _held((outs, inputs, bw), seen))
             for table, value in zip((counts, rows, held), record):
