@@ -30,9 +30,9 @@ stay the rows), every map is the identity and no gather runs.
 
 The rule: state lives on nodes. The LSTM states, the stack and its reads
 stay there, and every head (emission, prior, attribute, Dyck decoder)
-projects nodes. Rows appear only as the [B, V] logits a ``categorical``
-reads, gathered by ``_to_rows`` after the projection, and in the opt-in
-receiver trace.
+projects nodes. Rows appear only inside ``categorical``, which reads each
+step's [N, V] node logits through that step's [B] node map, and in the
+opt-in receiver trace.
 
 Each of log S with entropy H, log R and the prior's log P is one
 ``diffengine.categorical`` record over per-step logits. Meanings enter as
@@ -202,32 +202,33 @@ def _unroll(cell, emb, out, state, steps, stop, next_symbol):
     """The decoding loop of the sender and of the Dyck decoder, on nodes.
 
     From the root ``NodeState``, step t feeds each node its previous symbol
-    (zeros at t = 0) and projects its ``h`` with ``out``; one gather hands the
-    logits to the rows, where ``next_symbol(t, [B, V] array) -> [B] ints``
-    picks. A row that picked ``stop`` is frozen and repeats ``stop``; the loop
-    ends after ``steps`` steps or once every row has stopped. Returns symbols
+    (zeros at t = 0) and projects its ``h`` with ``out``; ``next_symbol(t,
+    [B, V] array) -> [B] ints`` picks from the rows' logits, off the tape. A
+    row that picked ``stop`` is frozen and repeats ``stop``; the loop ends
+    after ``steps`` steps or once every row has stopped. Returns symbols
     [B, T], the bool [B, T] mask of rows running at each step (their ``stop``
-    step included) and the T [B, V] logit tensors.
+    step included), and each step's node logits and [B] node map.
     """
     h, c, node = state.h, state.c, state.node
     alive = np.ones(len(node), dtype=bool)
     x = de.zeros((h.shape[0], emb.table.shape[1]), dtype=h.dtype)
     live = parent = None
-    symbols, alives, logits = [], [], []
+    symbols, alives, logits, nodes = [], [], [], []
     for t in range(steps):
         if t > 0:
             node, first, parent = _prefix_nodes(node, symbols[-1], alive, emb.table.shape[0])
             x, live = emb(symbols[-1][first]), alive[first]
         h, c = cell.step(x, h, c, live, parent)
-        (z,) = _to_rows(node, out(h))
-        sym = np.where(alive, next_symbol(t, z.data), stop)
+        z = out(h)
+        sym = np.where(alive, next_symbol(t, z.data[node]), stop)
         symbols.append(sym)
         alives.append(alive)
         logits.append(z)
+        nodes.append(node)
         alive = alive & (sym != stop)
         if not alive.any():
             break
-    return np.stack(symbols, axis=1), np.stack(alives, axis=1), logits
+    return np.stack(symbols, axis=1), np.stack(alives, axis=1), logits, nodes
 
 
 def _prefix_nodes(node, symbols, alive, n_symbols):
@@ -241,8 +242,8 @@ def _prefix_nodes(node, symbols, alive, n_symbols):
 
 
 def _to_rows(idx, *ts):
-    """Gather tensors ``ts`` by the int map ``idx``: a step's nodes to its rows,
-    or the last step's nodes to this step's parents. No record when ``idx``
+    """Gather tensors ``ts`` by the int map ``idx``: the receiver's stack and
+    read to this step's parents, or its trace to rows. No record when ``idx``
     is the identity (every row its own node, or no node with a second child)."""
     return ts if np.array_equal(idx, np.arange(len(idx))) else de.gather_rows(ts, idx)
 
@@ -438,9 +439,9 @@ class Sender(ParamModule):
             pick = lambda t, z: de.log_softmax_array(z)[0].argmax(axis=1)
         else:
             raise AgentError(f"unknown emission mode {mode!r}")
-        symbols, alive, logits = self._unroll(state, pick)
+        symbols, alive, logits, nodes = self._unroll(state, pick)
         return EmitResult(
-            MessageBatch(symbols, alive.sum(axis=1)), *de.categorical(logits, symbols, alive)
+            MessageBatch(symbols, alive.sum(axis=1)), *de.categorical(logits, symbols, alive, nodes)
         )
 
     def score(self, state, messages):
@@ -449,8 +450,8 @@ class Sender(ParamModule):
         n = len(state.node)
         if len(batch) != n:
             raise AgentError(f"scored {len(batch)} messages against {n} states")
-        symbols, alive, logits = self._unroll(state, lambda t, z: batch.symbols[:, t])
-        return de.categorical(logits, symbols, alive)[0]
+        symbols, alive, logits, nodes = self._unroll(state, lambda t, z: batch.symbols[:, t])
+        return de.categorical(logits, symbols, alive, nodes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -607,16 +608,17 @@ class Receiver(ParamModule):
             raise AgentError(f"got {len(meanings)} meanings for {n} encodings")
         ints, lengths = self.space.rows(meanings)
         if self.space.kind == "attr_val":
-            logits = _to_rows(enc.state.node, *(head(enc.state.h) for head in self.heads))
+            logits = [head(enc.state.h) for head in self.heads]
+            nodes = [enc.state.node] * len(logits)
             symbols, alive = ints, np.ones(ints.shape, dtype=bool)
         else:
             t_tot = int(lengths.max()) + 1
             tokens = np.pad(ints[:, : t_tot - 1], ((0, 0), (0, 1)))
             targets = np.where(np.arange(t_tot) < lengths[:, None], tokens, 2 * self.space.k)
-            symbols, alive, logits = _unroll(
+            symbols, alive, logits, nodes = _unroll(
                 *self.decoder, enc.state, t_tot, 2 * self.space.k, lambda t, z: targets[:, t]
             )
-        return de.categorical(logits, symbols, alive)[0]
+        return de.categorical(logits, symbols, alive, nodes)[0]
 
     def greedy_decode(self, enc):
         """Most-likely meaning per item under the reconstruction heads.
@@ -634,7 +636,7 @@ class Receiver(ParamModule):
         else:
             roots, end = NodeState(h, c, np.arange(h.shape[0])), 2 * self.space.k
             pick = lambda t, z: z.argmax(axis=1)
-            symbols, alive, _ = _unroll(*self.decoder, roots, self.space.l_max, end, pick)
+            symbols, alive, *_ = _unroll(*self.decoder, roots, self.space.l_max, end, pick)
             # a word is its symbols up to, not including, END
             sizes = (alive & (symbols != 2 * self.space.k)).sum(axis=1)
             words = [tuple(w[:m]) for w, m in zip(symbols.tolist(), sizes.tolist())]
@@ -645,7 +647,7 @@ class Receiver(ParamModule):
 
         ``reads`` comes from ``encode`` on the same messages; position t is
         scored against ``reads[t]``. The head projects each node's read once,
-        and one gather hands the [B, vocab] logits to the rows. A message
+        and ``categorical`` reads rows through each read's node map. A message
         truncated at max length has no EOS and simply contributes no EOS term.
         """
         if not self.has_prior:
@@ -654,6 +656,6 @@ class Receiver(ParamModule):
         n, t_max = batch.symbols.shape
         if len(reads) < t_max:
             raise AgentError(f"need {t_max} reads, got {len(reads)}")
-        logits = [_to_rows(node, self.prior_out(read))[0] for read, node in reads[:t_max]]
+        logits = [self.prior_out(read) for read, _ in reads[:t_max]]
         alive = np.arange(t_max) < batch.lengths[:, None]
-        return de.categorical(logits, batch.symbols, alive)[0]
+        return de.categorical(logits, batch.symbols, alive, [node for _, node in reads[:t_max]])[0]

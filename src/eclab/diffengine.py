@@ -15,8 +15,8 @@ and several for a fused op. ``backward_fn`` takes one cotangent per output,
 has a cotangent, and returns one cotangent (or ``None``) per input. ``op``
 names the op that made the record (``take_rows`` records ``gather_rows``).
 The fused ops ``lstm_cell`` (one LSTM step, with its row freeze and regroup)
-and ``categorical`` (the summed log-likelihood and entropy of T draws) are
-single records with a hand-written backward.
+and ``categorical`` (the summed log-likelihood and entropy of T draws, with
+its node-to-row gather) are single records with a hand-written backward.
 
 Shape discipline is explicit: the binary ops (``add``, ``sub``, ``mul``,
 ``maximum``, ``minimum``, all through one helper) accept equal shapes, a 0-d
@@ -515,26 +515,35 @@ def lstm_cell(x, h, c, W, b, alive=None, parent=None):
     return _finish_many((h2, c2), "lstm_cell", (x, h, c, W, b), bw)
 
 
-def categorical(logits, symbols, alive):
+def categorical(logits, symbols, alive, nodes=None):
     """Log-probability and entropy of T categorical draws, as one record.
 
-    ``logits`` is T tensors [B, V], ``symbols`` the [B, T] int draws and
-    ``alive`` the [B, T] bool mask of the steps that count. Returns [B] tensors
-    ``logp`` and ``entropy`` summed over live steps in step order, and the
-    unmasked per-step terms as [B, T] arrays. The arithmetic is that of
-    log_softmax/take_last/softmax/mul/sum_last and a 0/1 mask, bit for bit."""
+    ``logits`` is T tensors [N_t, V] and ``nodes`` T [B] int maps: row b of
+    step t reads row ``nodes[t][b]`` of ``logits[t]``, a gather inside the
+    record (none for an identity map; without ``nodes`` the logits are the
+    rows). ``symbols`` is the [B, T] int draws and ``alive`` the [B, T] bool
+    mask of the steps that count. Returns [B] tensors ``logp`` and ``entropy``
+    summed over live steps in step order, and the unmasked per-step terms as
+    [B, T] arrays. The arithmetic is that of gather_rows, log_softmax,
+    take_last, softmax, mul, sum_last and a 0/1 mask, bit for bit."""
     logits, symbols, alive = tuple(logits), np.asarray(symbols), np.asarray(alive, bool)
-    shape = logits[0].shape if logits else ()
-    if len(shape) != 2 or not symbols.shape == alive.shape == (shape[0], len(logits)) or any(
-        z.shape != shape or z.dtype != logits[0].dtype for z in logits
+    maps = [None] * len(logits) if nodes is None else [np.asarray(m) for m in nodes]
+    n = len(symbols) if symbols.ndim == 2 else -1
+    if not logits or not symbols.shape == alive.shape == (n, len(logits)) == (n, len(maps)) or any(
+        z.ndim != 2 or z.shape[1:] != logits[0].shape[1:] or z.dtype != logits[0].dtype
+        or (z.shape[0] != n if m is None else m.shape != (n,)) for z, m in zip(logits, maps)
     ):
         raise ShapeError(
-            f"categorical: logits {[z.shape for z in logits]}, symbols {symbols.shape}"
-            f" and alive {alive.shape} do not fit"
+            f"categorical: logits {[z.shape for z in logits]}, symbols {symbols.shape},"
+            f" alive {alive.shape} and maps {[np.shape(m) for m in maps]} do not fit"
         )
+    # the rows each step reads (the index checks their range), None for the identity
+    rows = [None if m is None or (z.shape[0] == n and np.array_equal(m, np.arange(n)))
+            else np.arange(z.shape[0])[m] for z, m in zip(logits, maps)]
     sym = symbols.T[..., None]  # [T, B, 1]
     masks = alive.T.astype(logits[0].dtype)  # a 1.0 leaves a term's bits alone
-    logp, e, s = log_softmax_array(np.stack([z.data for z in logits]))
+    stacked = np.stack([z.data if r is None else z.data[r] for z, r in zip(logits, rows)])
+    logp, e, s = log_softmax_array(stacked)
     p = e / s
     picks = np.take_along_axis(logp, sym, axis=-1)[..., 0]
     ents = (p * logp).sum(axis=-1) * -1.0
@@ -551,7 +560,10 @@ def categorical(logits, symbols, alive):
             np.put_along_axis(buf, sym, np.expand_dims(g_logp * masks, -1), axis=-1)
             dlogp = buf if dlogp is None else dlogp + buf
         dls = dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True)
-        return tuple(dls if dz is None else dz + dls)
+        d = dls if dz is None else dz + dls
+        return tuple(
+            g if r is None else _scatter_rows(g, r, z.shape[0]) for g, r, z in zip(d, rows, logits)
+        )
 
     # each sum runs in step order from step 0, as the composite adds (a sum
     # over the step axis would turn a dead row's -0.0 into +0.0)

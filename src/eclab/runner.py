@@ -187,7 +187,7 @@ def resolve_preset(name, **overrides):
 # ---------------------------------------------------------------------------
 # named RNG streams
 
-STREAM_NAMES = ("init", "split", "batch", "sender", "branching", "eval")
+STREAM_NAMES = ("init", "split", "batch", "sender", "branching")
 
 
 def stream_seed(master_seed, name):
@@ -198,11 +198,6 @@ def stream_seed(master_seed, name):
 
 def stream_generator(master_seed, name):
     return np.random.Generator(np.random.PCG64(stream_seed(master_seed, name)))
-
-
-def seed_streams(master_seed):
-    """One independent generator per named randomness source."""
-    return {name: stream_generator(master_seed, name) for name in STREAM_NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +308,8 @@ def _start_rewo(config):
 @dataclass
 class RunState:
     """What a run carries from one training step to the next, ``iteration``
-    steps in. The parameters are the agents' own and beta is ``rewo``'s."""
+    steps in: ``streams`` are the generators a step draws from, the
+    parameters are the agents' own and beta is ``rewo``'s."""
 
     config: RunConfig
     train: list
@@ -376,8 +372,8 @@ def start(config, dtype):
     """The state of a run of ``config`` before its first step, with ``dtype``
     parameters."""
     space, train, test = split_space(config)
-    streams = seed_streams(config.seed)
-    sender, receiver = build_agents(space, config, streams["init"], dtype=dtype)
+    sender, receiver = build_agents(space, config, stream_generator(config.seed, "init"), dtype)
+    streams = {n: stream_generator(config.seed, n) for n in ("batch", "sender", "branching")}
     return RunState(
         config, train, test, streams, sender, receiver, AdamState(lr=config.lr, l2=config.l2),
         BaselineState(decay=config.baseline_decay), _start_rewo(config),
@@ -440,10 +436,10 @@ def run(config, out_dir=None):
 
 
 def _finish_run(config, out, records, rewo, error, wall_seconds, usage=None):
-    """Write ``summary.json`` for a run that ended (or was refused) with the
-    KL-weight controller ``rewo`` (None without one). Its peak RSS is
-    ``usage.ru_maxrss``, this process's unless a child's rusage is given, and
-    0 under ``ECLAB_DETERMINISTIC=1`` like its wall time."""
+    """Write ``summary.json``, whole or not at all, for a run that ended (or
+    was refused) with the KL-weight controller ``rewo`` (None without one).
+    Its peak RSS is ``usage.ru_maxrss``, this process's unless a child's
+    rusage is given, and 0 under ``ECLAB_DETERMINISTIC=1`` like its wall time."""
     beta = rewo.beta if rewo is not None else 0.0
     usage = usage or resource.getrusage(resource.RUSAGE_SELF)
     deterministic = os.environ.get("ECLAB_DETERMINISTIC") == "1"
@@ -454,14 +450,7 @@ def _finish_run(config, out, records, rewo, error, wall_seconds, usage=None):
         "strategy": Strategy.parse(config.strategy).value,
         "seed": config.seed,
         "iterations_done": final.iteration if final else 0,
-        "final_comacc_train": _json_value(final.comacc_train) if final else None,
-        "final_comacc_test": _json_value(final.comacc_test) if final else None,
-        "final_mean_log_prior_train": (
-            _json_value(final.mean_log_prior_train) if final else None
-        ),
-        "final_mean_log_prior_test": (
-            _json_value(final.mean_log_prior_test) if final else None
-        ),
+        **{f"final_{m}": _json_value(getattr(final, m)) if final else None for m in REPORT_METRICS},
         "final_beta": beta,
         "kept": bool(kept),
         "failed": error is not None,
@@ -470,7 +459,8 @@ def _finish_run(config, out, records, rewo, error, wall_seconds, usage=None):
         "peak_rss_mb": 0.0 if deterministic else round(usage.ru_maxrss / 1024, 1),
         "stream_seeds": {name: stream_seed(config.seed, name) for name in STREAM_NAMES},
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out / "summary.json.tmp").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    os.replace(out / "summary.json.tmp", out / "summary.json")
     return RunResult(config=config, records=records, summary=summary, out_dir=str(out))
 
 

@@ -1122,6 +1122,21 @@ def _gathers(monkeypatch, *modules):
     return seen
 
 
+def _scatters(monkeypatch, *modules):
+    # (rows, width) of each row-gather cotangent scattered back, other than
+    # into the embedding tables of ``modules``
+    tables = {t.shape for m in modules for k, t in m.named_parameters().items() if k.endswith("table")}
+    seen, scatter = [], de._scatter_rows
+
+    def recording(g, idx, n_rows):
+        if (n_rows, *g.shape[1:]) not in tables:
+            seen.append((n_rows, *g.shape[1:]))
+        return scatter(g, idx, n_rows)
+
+    monkeypatch.setattr(de, "_scatter_rows", recording)
+    return seen
+
+
 def test_no_gather_where_every_map_is_the_identity(monkeypatch):
     from eclab.metrics import comacc
 
@@ -1130,13 +1145,18 @@ def test_no_gather_where_every_map_is_the_identity(monkeypatch):
     r = small_receiver(dy, seed=3, max_len=5)
     batch = msgs_batch(SHARED_SEQS, max_len=5)
     meanings = SHARED_WORDS[: len(SHARED_SEQS)]
-    gathers = _gathers(monkeypatch, r)
+    gathers, scatters = _gathers(monkeypatch, r), _scatters(monkeypatch, r)
     for strategy, none in (("random", True), ("learned", False)):
         enc = r.encode(batch, strategy, rng=np.random.default_rng(0))
         gathers.clear()
-        with Tape():
-            r.reconstruct_logprob(enc, meanings)
-        assert (gathers == []) is none, strategy
+        scatters.clear()
+        with Tape() as tape:
+            loss = de.reduce_sum(r.reconstruct_logprob(enc, meanings))
+        backward(tape, loss)
+        # the decoder's regroups and its logits' gathers run inside its
+        # lstm_cell and categorical records, and an identity map moves nothing
+        assert gathers == [], strategy
+        assert (scatters == []) is none, strategy
     # comacc's greedy emission over distinct meanings: one root per meaning, in
     # row order; under random the whole evaluation gathers nothing
     sp = attr_space()
@@ -1163,8 +1183,9 @@ def test_a_rewo_step_gathers_no_hidden_state_to_rows(preset, monkeypatch):
 
     monkeypatch.setattr(game, "backward", recording)
     state.step()
-    # rows appear only as the logits the categoricals read
-    assert (64, config.vocab) in shapes
+    # rows appear only inside the categoricals, which gather their own logits
+    # (a [N, 4] gather is the stack's strengths at depth 4, on N < 64 nodes)
+    assert (64, config.vocab) not in shapes
     assert (64, 24) not in shapes
     # what is 24 wide regroups the stack and its read from node to parent node
     assert all(n < 64 for n, *width in shapes if width == [24])

@@ -1009,6 +1009,52 @@ def test_categorical_is_one_tape_node():
     assert len(tape) == 1
 
 
+def categorical_node_inputs(rng):
+    # 6 rows, 3 steps over 4 symbols. Step 0 runs on 2 nodes and step 2 on 4,
+    # rows repeating a node; step 1 is the identity; rows end at different
+    # steps, one before its first
+    nodes = [np.array([0, 0, 1, 1, 0, 1]), np.arange(6), np.array([3, 0, 2, 2, 1, 0])]
+    logits = [f64(rng.standard_normal((m.max() + 1, 4))) for m in nodes]
+    symbols = rng.integers(0, 4, size=(6, 3))
+    alive = np.arange(3) < np.array([3, 1, 2, 3, 0, 2])[:, None]
+    return logits, nodes, symbols, alive
+
+
+def rows_categorical(logits, symbols, alive, nodes):
+    """``categorical`` of the rows ``gather_rows`` takes from each step's node
+    logits, skipping an identity map."""
+    rows = [
+        z if np.array_equal(m, np.arange(len(m))) else de.gather_rows((z,), m)[0]
+        for z, m in zip(logits, nodes)
+    ]
+    return de.categorical(rows, symbols, alive)
+
+
+@pytest.mark.parametrize("which", ["both", "logp", "entropy"])
+@pytest.mark.parametrize("case", ["nodes", "identity", "no_nodes"])
+def test_categorical_on_node_logits_matches_gathered_rows_bit_for_bit(which, case):
+    rng = np.random.default_rng([73, len(case), len(which)])
+    logits, nodes, symbols, alive = categorical_node_inputs(rng)
+    if case != "nodes":  # every map the identity
+        logits = [f64(rng.standard_normal((6, 4))) for _ in nodes]
+        nodes = [np.arange(6)] * 3
+    w = f64(rng.standard_normal(6))
+    got = []
+    for op in (de.categorical, rows_categorical):
+        with Tape() as tape:
+            maps = None if case == "no_nodes" and op is de.categorical else nodes
+            logp, ent, step_logp, step_ent = op(logits, symbols, alive, maps)
+            loss = categorical_loss(logp, ent, w, which)
+        grads = backward(tape, loss)
+        arrays = [logp.data, ent.data, step_logp, step_ent] + [grads[z] for z in logits]
+        got.append([(a.dtype, a.shape, a.tobytes()) for a in arrays])
+    assert got[0] == got[1]
+    # the gathers run inside the one record
+    with Tape() as tape:
+        de.categorical(logits, symbols, alive, nodes)
+    assert [op for *_, op in tape._nodes] == ["categorical"]
+
+
 def test_categorical_rejects_bad_shapes():
     logits, symbols, alive = categorical_inputs(np.random.default_rng(67))
     bad = [
@@ -1020,9 +1066,18 @@ def test_categorical_rejects_bad_shapes():
         (logits, symbols[:4], alive),
         (logits, symbols, alive[:, :2]),
     ]
+    logits, nodes, symbols, alive = categorical_node_inputs(np.random.default_rng(79))
+    bad += [
+        (logits, symbols, alive, nodes[:2]),  # a map short
+        (logits, symbols, alive, nodes[:2] + [nodes[2][:5]]),  # a map not B long
+        (logits, symbols, alive, nodes[:2] + [nodes[2][:, None]]),  # a map not 1-d
+        (logits, symbols, alive),  # node logits read as rows
+    ]
     for args in bad:
         with pytest.raises(ShapeError, match="categorical"):
             de.categorical(*args)
+    with pytest.raises(IndexError):  # a node past the last
+        de.categorical(logits, symbols, alive, nodes[:2] + [nodes[2] + 1])
 
 
 # inputs made with no tape active, so each call below records only its op

@@ -30,7 +30,7 @@ from eclab.runner import (
     report,
     resolve_preset,
     run,
-    seed_streams,
+    start,
     stream_generator,
     stream_seed,
     sweep,
@@ -140,13 +140,14 @@ def test_coerce_field_types():
 
 
 def test_seed_streams_named_and_deterministic():
-    streams = seed_streams(3)
-    assert tuple(streams) == STREAM_NAMES
-    a = streams["batch"].integers(0, 2**63)
-    b = seed_streams(3)["batch"].integers(0, 2**63)
-    assert a == b
-    c = seed_streams(4)["batch"].integers(0, 2**63)
-    assert a != c
+    # a run state holds only the streams its steps draw from
+    streams = start(tiny_config(seed=3), np.float32).streams
+    assert tuple(streams) == ("batch", "sender", "branching")
+    first = {name: g.integers(0, 2**63) for name, g in streams.items()}
+    again = start(tiny_config(seed=3), np.float32).streams
+    assert first == {name: g.integers(0, 2**63) for name, g in again.items()}
+    other = start(tiny_config(seed=4), np.float32).streams
+    assert all(first[name] != g.integers(0, 2**63) for name, g in other.items())
 
 
 def test_stream_first_outputs_pinned():
@@ -202,6 +203,18 @@ def test_run_into_a_used_directory_leaves_no_summary_until_it_ends(tmp_path, mon
 
     monkeypatch.setattr(runner_module, "play_batch", interrupt)
     with pytest.raises(KeyboardInterrupt):
+        run(tiny_config(), out_dir=tmp_path / "r")
+    assert not (tmp_path / "r" / "summary.json").exists()
+
+
+def test_a_summary_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
+    # summary.json appears only by a rename of a finished file, so a run
+    # killed while writing it leaves none
+    def fail(*args, **kwargs):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(runner_module.os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
         run(tiny_config(), out_dir=tmp_path / "r")
     assert not (tmp_path / "r" / "summary.json").exists()
 
