@@ -30,9 +30,9 @@ stay the rows), every map is the identity and no gather runs.
 
 The rule: state lives on nodes. The LSTM states, the stack and its reads
 stay there, and every head (emission, prior, attribute, Dyck decoder)
-projects nodes. Rows appear only inside ``categorical``, which reads each
-step's [N, V] node logits through that step's [B] node map, and in the
-opt-in receiver trace.
+projects nodes. Rows appear on the tape only inside ``categorical``, which
+reads each step's [N, V] node logits through that step's [B] node map, and
+in the opt-in receiver trace.
 
 Each of log S with entropy H, log R and the prior's log P is one
 ``diffengine.categorical`` record over per-step logits. Meanings enter as

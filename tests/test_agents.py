@@ -1171,9 +1171,11 @@ def test_no_gather_where_every_map_is_the_identity(monkeypatch):
 
 @pytest.mark.parametrize("preset", ["smoke-attrval", "smoke-dyck"])
 def test_a_rewo_step_gathers_no_hidden_state_to_rows(preset, monkeypatch):
-    # hidden 24 differs from the embedding (32), the vocab (4), n_val (4) and
-    # the Dyck decoder's tokens (9), so a [B, 24] gather is a state's
-    config = runner.resolve_preset(preset, beta_mode="rewo", hidden=24, batch_size=64)
+    # hidden 24 differs from the embedding (32), the vocab (10), n_val (4) and
+    # the Dyck decoder's tokens (9), so a [B, 24] gather is a state's; the
+    # vocab is wider than the stack's strengths (at most max_len 8 columns),
+    # so a gather 10 wide would be the emission's or the prior's logits
+    config = runner.resolve_preset(preset, beta_mode="rewo", hidden=24, batch_size=64, vocab=10)
     state = runner.start(config, np.float32)
     shapes, backward = [], game.backward
 
@@ -1184,8 +1186,7 @@ def test_a_rewo_step_gathers_no_hidden_state_to_rows(preset, monkeypatch):
     monkeypatch.setattr(game, "backward", recording)
     state.step()
     # rows appear only inside the categoricals, which gather their own logits
-    # (a [N, 4] gather is the stack's strengths at depth 4, on N < 64 nodes)
-    assert (64, config.vocab) not in shapes
+    assert all(width != [config.vocab] for n, *width in shapes)
     assert (64, 24) not in shapes
     # what is 24 wide regroups the stack and its read from node to parent node
     assert all(n < 64 for n, *width in shapes if width == [24])
