@@ -18,6 +18,10 @@ The fused ops ``lstm_cell`` (one LSTM step, with its row freeze and regroup)
 and ``categorical`` (the summed log-likelihood and entropy of T draws, with
 its node-to-row gather) are single records with a hand-written backward.
 
+``lstm_cell``'s gates and ``adam_step`` run their elementwise chains over
+leading-axis blocks of about ``_BLOCK_BYTES`` that stay in cache, making the
+whole-array calls in order, so no bit depends on the block size.
+
 Shape discipline is explicit: the binary ops (``add``, ``sub``, ``mul``,
 ``maximum``, ``minimum``, all through one helper) accept equal shapes, a 0-d
 tensor on either side, or a python number as ``b`` -- nothing else, checked
@@ -402,6 +406,17 @@ def slice_last(x, lo, hi):
 # fused ops
 
 
+_BLOCK_BYTES = 1 << 19  # elementwise chains run over blocks of about this size
+
+
+def _blocks(a):
+    # indices of ``a``'s leading-axis blocks of about _BLOCK_BYTES; ``...`` when it fits in one
+    if a.nbytes <= _BLOCK_BYTES or a.ndim == 0:
+        return (...,)
+    step = max(1, _BLOCK_BYTES * len(a) // a.nbytes)
+    return [slice(k, k + step) for k in range(0, len(a), step)]
+
+
 def _sigmoid_inplace(v):
     # same arithmetic as ``sigmoid``: 1 / (1 + exp(-v))
     np.negative(v, out=v)
@@ -410,9 +425,19 @@ def _sigmoid_inplace(v):
     np.reciprocal(v, out=v)
 
 
-def _with_rows(base, shape, rows, vals):
-    # a copy of ``base`` (zeros when None) with ``rows`` replaced by ``vals``
-    out = np.zeros(shape, vals.dtype) if base is None else np.array(base, vals.dtype)
+def _sigmoid_slope(y, out):
+    # y * (1 - y), sigmoid's derivative at its output y, into ``out``
+    return np.multiply(y, np.subtract(1.0, y, out=out), out=out)
+
+
+def _tanh_slope(y, out):
+    # 1 - y * y, tanh's derivative at its output y, into ``out`` (which may be y)
+    return np.subtract(1.0, np.multiply(y, y, out=out), out=out)
+
+
+def _with_rows(base, shape, rows, vals, copy=True):
+    # ``base`` (a copy unless ``copy`` is False; zeros when None) with ``rows`` replaced by ``vals``
+    out = np.zeros(shape, vals.dtype) if base is None else np.array(base, vals.dtype, copy=copy)
     out[rows] = vals
     return out
 
@@ -437,6 +462,10 @@ def lstm_cell(x, h, c, W, b, alive=None, parent=None):
     ``[x, h]``, ``c`` and ``tanh(c2)`` from its inputs and outputs with the
     forward's numpy calls, so the gradients are those of a record that kept
     them.
+
+    One GEMM runs over all live rows (two in backward); the elementwise work
+    after it runs over row blocks of the gates (``_blocks``) into
+    preallocated outputs, bit for bit the whole-array calls.
     """
     n_rows = len(h.data)
     if parent is not None and np.array_equal(parent, np.arange(n_rows)):
@@ -464,45 +493,59 @@ def lstm_cell(x, h, c, W, b, alive=None, parent=None):
     # the rows of h and c that the live rows read
     src = rows if parent is None else parent if rows is None else parent[rows]
 
-    def take(a, idx):
-        return a if idx is None else a[idx]
+    def take(a, idx, blk=...):
+        # rows ``blk`` of the live rows' view of ``a`` (a gather, or a view when ``idx`` is None)
+        return a[blk] if idx is None else a[idx[blk]]
 
     def joined():
         return np.concatenate((take(x.data, rows), take(h.data, src)), axis=1)
 
+    def gates(a):
+        return (a[:, k * nH : (k + 1) * nH] for k in range(4))
+
     act = joined() @ W.data
-    act += b.data
-    _sigmoid_inplace(act[:, : 2 * nH])
-    np.tanh(act[:, 2 * nH : 3 * nH], out=act[:, 2 * nH : 3 * nH])
-    _sigmoid_inplace(act[:, 3 * nH :])
-    i, f, g, o = (act[:, k * nH : (k + 1) * nH] for k in range(4))
-    c2 = f * take(c.data, src)
-    c2 += i * g
-    h2 = o * np.tanh(c2)
+    blocks = _blocks(act)
+    c2, h2 = (np.empty((len(act), nH), act.dtype) for _ in range(2))
+    for s in blocks:
+        a = act[s]
+        a += b.data
+        _sigmoid_inplace(a[:, : 2 * nH])
+        np.tanh(a[:, 2 * nH : 3 * nH], out=a[:, 2 * nH : 3 * nH])
+        _sigmoid_inplace(a[:, 3 * nH :])
+        i, f, g, o = gates(a)
+        cs, hs = c2[s], h2[s]
+        np.multiply(f, take(c.data, src, s), out=cs)
+        cs += np.multiply(i, g, out=hs)
+        np.multiply(o, np.tanh(cs, out=hs), out=hs)
     if rows is not None:
-        h2 = _with_rows(take(h.data, parent), (n, nH), rows, h2)
-        c2 = _with_rows(take(c.data, parent), (n, nH), rows, c2)
-    Wd = W.data
+        # frozen rows keep their regrouped h and c: one gather (a copy without a regroup)
+        h2 = _with_rows(take(h.data, parent), (n, nH), rows, h2, copy=parent is None)
+        c2 = _with_rows(take(c.data, parent), (n, nH), rows, c2, copy=parent is None)
 
     def bw(gh, gc):
-        cd, tc = take(c.data, src), np.tanh(take(c2, rows))
-        gh_live = None if gh is None else take(gh, rows)
-        gc_live = None if gc is None else take(gc, rows)
         dz = np.empty_like(act)
-        di, df, dg, do = (dz[:, k * nH : (k + 1) * nH] for k in range(4))
-        if gh_live is None:
-            dc2 = gc_live
-            do[...] = 0.0
-        else:
-            dc2 = gh_live * o * (1.0 - tc * tc)
-            if gc_live is not None:
-                dc2 += gc_live
-            np.multiply(gh_live * tc, o * (1.0 - o), out=do)
-        np.multiply(dc2 * g, i * (1.0 - i), out=di)
-        np.multiply(dc2 * cd, f * (1.0 - f), out=df)
-        np.multiply(dc2 * i, 1.0 - g * g, out=dg)
-        dxh = dz @ Wd.T
-        dx, dh, dc = dxh[:, :n_in], dxh[:, n_in:], dc2 * f
+        dc = np.empty((len(act), nH), act.dtype)
+        for s in blocks:
+            i, f, g, o = gates(act[s])
+            di, df, dg, do = gates(dz[s])
+            t1, t2, t3 = np.empty((3,) + do.shape, act.dtype)
+            if gh is None:
+                dc2 = take(gc, rows, s)
+                do[...] = 0.0
+            else:
+                ghs, tc = take(gh, rows, s), np.tanh(take(c2, rows, s), out=t1)
+                np.multiply(ghs, tc, out=t2)
+                dc2 = np.multiply(ghs, o, out=t3)
+                dc2 *= _tanh_slope(tc, t1)
+                if gc is not None:
+                    dc2 += take(gc, rows, s)
+                np.multiply(t2, _sigmoid_slope(o, t1), out=do)
+            np.multiply(np.multiply(dc2, g, out=t2), _sigmoid_slope(i, t1), out=di)
+            np.multiply(np.multiply(dc2, take(c.data, src, s), out=t2), _sigmoid_slope(f, t1), out=df)
+            np.multiply(np.multiply(dc2, i, out=t2), _tanh_slope(g, t1), out=dg)
+            np.multiply(dc2, f, out=dc[s])
+        dxh = dz @ W.data.T
+        dx, dh = dxh[:, :n_in], dxh[:, n_in:]
         if rows is not None:
             # frozen rows pass their cotangents straight back to h and c
             dx = _with_rows(None, x.shape, rows, dx)
@@ -685,6 +728,9 @@ def backward(tape, loss, wrt=None):
     rather than when the tape is dropped; ``len(tape)`` still counts every
     record. A tape therefore runs backward once: a second call raises
     ``DiffError``.
+
+    A leaf's cotangents sum in arrival order, into a new array and then in
+    place into it; an array an op's backward returned is never written to.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got {loss.shape}")
@@ -698,6 +744,7 @@ def backward(tape, loss, wrt=None):
         raise DiffError("backward: loss was not produced on this tape")
     table = {id(loss): (loss, np.ones((), dtype=loss.dtype))}
     keep = None if wrt is None else {id(t) for t in wrt}
+    owned = set()  # keys whose table entry is a sum allocated here
     for k in range(len(nodes) - 1, -1, -1):
         outs, inputs, bw, _ = nodes[k]
         nodes[k] = None
@@ -711,7 +758,13 @@ def backward(tape, loss, wrt=None):
             if keep is not None and key not in keep and key not in produced:
                 continue
             acc = table.get(key)
-            table[key] = (t, gi if acc is None else acc[1] + gi)
+            if acc is None:
+                table[key] = (t, gi)  # an op's array: never written to
+            elif key in owned and np.result_type(acc[1], gi) == acc[1].dtype:
+                np.add(acc[1], gi, out=acc[1])  # a sum allocated here: add in place
+            else:
+                table[key] = (t, np.asarray(acc[1] + gi))
+                owned.add(key)
     return Gradients(table)
 
 
@@ -786,6 +839,8 @@ def adam_step(state, params, grads):
     ``params`` maps name -> Tensor and ``grads`` maps name -> ndarray of the
     same shape. ``state`` is updated in place (step count, and the moment
     arrays are overwritten); no gradient array is, as two may share one.
+    Each update runs over leading-axis blocks (``_blocks``) with two block
+    buffers, bit for bit the whole-array calls.
     """
     state.step += 1
     t = state.step
@@ -797,22 +852,26 @@ def adam_step(state, params, grads):
         g = np.asarray(grads[name], dtype=p.dtype)
         if g.shape != p.shape:
             raise ShapeError(f"adam_step: grad shape {g.shape} for {name} {p.shape}")
-        if state.l2:
-            g = g + state.l2 * p.data
         m = state.m.get(name)
         v = state.v.get(name)
         if m is None:
             m = state.m[name] = np.zeros_like(p.data)
             v = state.v[name] = np.zeros_like(p.data)
-        # in place: v = b2 * v + (1 - b2) * (g * g), m = b1 * m + (1 - b1) * g
-        # and delta = lr * (m / c1) / (sqrt(v / c2) + eps)
-        buf = np.empty_like(p.data)
-        v *= b2
-        v += np.multiply(np.multiply(g, g, out=buf), 1.0 - b2, out=buf)
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=buf)
-        delta = np.divide(m, c1)
-        delta *= state.lr
-        delta /= np.add(np.sqrt(np.divide(v, c2, out=buf), out=buf), state.eps, out=buf)
-        out[name] = Tensor._wrap(p.data - delta)
+        new = np.empty_like(p.data)
+        for s in _blocks(p.data):
+            gs, ps, ms, vs = g[s], p.data[s], m[s], v[s]
+            buf, step = (np.empty_like(ps) for _ in range(2))
+            if state.l2:  # g + l2 * p
+                gs = np.add(gs, np.multiply(state.l2, ps, out=step), out=step)
+            # in place: v = b2 * v + (1 - b2) * (g * g), m = b1 * m + (1 - b1) * g
+            # and new = p - lr * (m / c1) / (sqrt(v / c2) + eps)
+            vs *= b2
+            vs += np.multiply(np.multiply(gs, gs, out=buf), 1.0 - b2, out=buf)
+            ms *= b1
+            ms += np.multiply(gs, 1.0 - b1, out=buf)
+            np.divide(ms, c1, out=step)
+            step *= state.lr
+            step /= np.add(np.sqrt(np.divide(vs, c2, out=buf), out=buf), state.eps, out=buf)
+            np.subtract(ps, step, out=new[s])
+        out[name] = Tensor._wrap(new)
     return out

@@ -459,7 +459,10 @@ def _finish_run(config, out, records, rewo, error, wall_seconds, usage=None):
         "peak_rss_mb": 0.0 if deterministic else round(usage.ru_maxrss / 1024, 1),
         "stream_seeds": {name: stream_seed(config.seed, name) for name in STREAM_NAMES},
     }
-    (out / "summary.json.tmp").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    with open(out / "summary.json.tmp", "w") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(out / "summary.json.tmp", out / "summary.json")
     return RunResult(config=config, records=records, summary=summary, out_dir=str(out))
 

@@ -302,6 +302,46 @@ def test_play_batch_gradients_equal_a_table_that_keeps_every_entry(
         np.testing.assert_array_equal(released[name], kept[name], err_msg=name)
 
 
+def _watch_returned(tape):
+    # wraps every record's backward to keep each array it returns beside a copy
+    returned = []
+
+    def watch(bw):
+        def wrapped(*gs):
+            out = bw(*gs)
+            returned.extend((g, np.array(g)) for g in out if g is not None)
+            return out
+
+        return wrapped
+
+    tape._nodes[:] = [(outs, ins, watch(bw), op) for outs, ins, bw, op in tape._nodes]
+    return returned
+
+
+def test_backward_sums_in_place_only_into_arrays_it_allocated():
+    # ``add`` and ``add_bias`` hand one cotangent array to several inputs,
+    # and ``x`` is used by three ops, so its sum grows over four arrivals
+    rng = np.random.default_rng(83)
+    x, bias = f64(rng.standard_normal((3, 4))), f64(rng.standard_normal(4))
+    a, w = f64(rng.standard_normal((3, 4))), f64(rng.standard_normal((3, 4)))
+
+    def taped():
+        with Tape() as tape:
+            s = de.add(de.add(de.add(x, x), de.mul(x, a)), de.add_bias(x, bias))
+            loss = de.reduce_sum(de.mul(s, w))
+        return tape, loss
+
+    tape, loss = taped()
+    returned = _watch_returned(tape)
+    grads = backward(tape, loss)
+    expected = _backward_keeping_every_entry(*taped())
+    for t in (x, bias, a, w):
+        assert grads[t].tobytes() == expected[t].tobytes()
+    assert len(returned) == 13  # two per binary op and add_bias, one for reduce_sum
+    for g, copy in returned:
+        assert g.tobytes() == copy.tobytes()
+
+
 def test_backward_requires_scalar_loss_from_this_tape():
     x = f64([1.0, 2.0])
     with Tape() as tape:
@@ -665,6 +705,31 @@ def test_adam_in_place_is_bit_identical_and_leaves_gradients_alone(dtype, l2):
                 assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("one_row", [False, True], ids=["default_blocks", "one_row_blocks"])
+@pytest.mark.parametrize("l2", [0.0, 1e-4])
+def test_adam_blocks_equal_the_whole_array_formula(l2, one_row, monkeypatch):
+    # "big" [300, 512] float32 is 600 KB, more than one default block
+    if one_row:
+        monkeypatch.setattr(de, "_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(89)
+    shapes = {"big": (300, 512), "w": (7, 3), "b": (3,), "s": ()}
+    params = {n: Tensor._wrap(rng.standard_normal(s).astype(np.float32)) for n, s in shapes.items()}
+    params["w2"] = params["w"]
+    ref_params, states = dict(params), [AdamState(lr=1e-2, l2=l2), AdamState(lr=1e-2, l2=l2)]
+    for _ in range(3):
+        grads = {n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}
+        grads["w2"] = grads["w"]  # two names share one gradient array
+        kept = np.array(grads["w"])
+        params = adam_step(states[0], params, grads)
+        ref_params = reference_adam(states[1], ref_params, grads)
+        assert np.array_equal(grads["w"], kept)
+        for n in params:
+            assert params[n].data.tobytes() == ref_params[n].data.tobytes(), n
+            for moments in ("m", "v"):
+                a, b = getattr(states[0], moments)[n], getattr(states[1], moments)[n]
+                assert a.tobytes() == b.tobytes(), (n, moments)
+
+
 # ---------------------------------------------------------------------------
 # fused LSTM cell
 
@@ -819,6 +884,39 @@ def test_lstm_cell_parent_grad_check(wrt, masked):
         return lstm_loss(h2, c2, wh, wc)
 
     assert grad_check(f, args[wrt]) < 1e-6
+
+
+LSTM_BLOCK_CASES = {
+    "all_alive": {},
+    "frozen_rows": {"alive": np.array([True, False, True, True, False, True])},
+    "repeated_parents": {"parent": PARENT},
+    "repeated_parents-frozen_rows": {
+        "parent": PARENT, "alive": np.array([False, True, True, False, True, True])
+    },
+}
+
+
+@pytest.mark.parametrize("use", [("h2", "c2"), ("c2",), ("h2",)], ids=["both", "gh_none", "gc_none"])
+@pytest.mark.parametrize("case", list(LSTM_BLOCK_CASES))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_cell_one_row_blocks_equal_the_default_bit_for_bit(dtype, case, use, monkeypatch):
+    rng = np.random.default_rng(97)
+    kwargs = LSTM_BLOCK_CASES[case]
+    args = {k: Tensor._wrap(v.data.astype(dtype)) for k, v in lstm_inputs(rng, batch=5).items()}
+    if "parent" not in kwargs:
+        args["h"], args["c"] = (Tensor._wrap(rng.standard_normal((6, 5)).astype(dtype)) for _ in "hc")
+    args["x"] = Tensor._wrap(rng.standard_normal((6, 3)).astype(dtype))
+    wh, wc = (Tensor._wrap(rng.standard_normal((6, 5)).astype(dtype)) for _ in "hc")
+    results = []
+    for block_bytes in (de._BLOCK_BYTES, 1):  # the default is one block here, then a block per row
+        monkeypatch.setattr(de, "_BLOCK_BYTES", block_bytes)
+        with Tape() as tape:
+            h2, c2 = de.lstm_cell(**args, **kwargs)
+            loss = lstm_loss(h2, c2, wh, wc, use)
+        grads = backward(tape, loss)
+        results.append([h2.data, c2.data] + [grads[args[n]] for n in LSTM_NAMES])
+    for name, a, b in zip(("h2", "c2") + LSTM_NAMES, *results):
+        assert a.dtype == dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_lstm_cell_identity_parent_is_no_parent():

@@ -7,8 +7,9 @@ import pathlib
 import re
 
 import numpy as np
+import pytest
 
-from eclab import agents, runner
+from eclab import agents, diffengine, runner
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "tools" / "grad_hash.py"
 spec = importlib.util.spec_from_file_location("grad_hash", SCRIPT)
@@ -124,3 +125,15 @@ def test_against_lists_the_arrays_only_one_side_has(tmp_path, capsys, monkeypatc
     assert line.split()[5:] == [
         "0.0", "+greedy/test/decoded", "+greedy/test/lengths", "+greedy/test/symbols", "-gone",
     ]
+
+
+@pytest.mark.parametrize(
+    "case", [("smoke-dyck", "learned", "rewo"), ("smoke-attrval", "random", "off")],
+    ids="-".join,
+)
+def test_digest_does_not_depend_on_the_block_size(case, monkeypatch):
+    # the LSTM gates, Adam and backward's sums all run at the default block
+    # size and then one leading-axis row per block
+    default = grad_hash.run_case(*case, np.float32)[0]
+    monkeypatch.setattr(diffengine, "_BLOCK_BYTES", 1)
+    assert grad_hash.run_case(*case, np.float32)[0] == default

@@ -219,6 +219,25 @@ def test_a_summary_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
     assert not (tmp_path / "r" / "summary.json").exists()
 
 
+def test_a_summary_is_fsynced_before_its_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, pathlib.Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(runner_module.os, "fsync", fsync)
+    monkeypatch.setattr(runner_module.os, "replace", replace)
+    run(tiny_config(), out_dir=tmp_path / "r")
+    (k, (_, inode, _)), = [(k, e) for k, e in enumerate(events) if e[-1] == "summary.json"]
+    assert ("fsync", inode) in events[:k]
+
+
 @pytest.mark.parametrize("deterministic", [False, True])
 def test_run_records_its_peak_rss(tmp_path, monkeypatch, deterministic):
     if deterministic:
