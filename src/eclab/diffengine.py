@@ -509,11 +509,11 @@ def lstm_cell(x, h, c, W, b, alive=None, parent=None):
     for s in blocks:
         a = act[s]
         a += b.data
-        _sigmoid_inplace(a[:, : 2 * nH])
-        np.tanh(a[:, 2 * nH : 3 * nH], out=a[:, 2 * nH : 3 * nH])
-        _sigmoid_inplace(a[:, 3 * nH :])
         i, f, g, o = gates(a)
         cs, hs = c2[s], h2[s]
+        np.tanh(g, out=hs)
+        _sigmoid_inplace(a)  # whole rows are one contiguous pass; g's sigmoid is overwritten
+        g[...] = hs
         np.multiply(f, take(c.data, src, s), out=cs)
         cs += np.multiply(i, g, out=hs)
         np.multiply(o, np.tanh(cs, out=hs), out=hs)
