@@ -463,9 +463,10 @@ def lstm_cell(x, h, c, W, b, alive=None, parent=None):
     forward's numpy calls, so the gradients are those of a record that kept
     them.
 
-    One GEMM runs over all live rows (two in backward); the elementwise work
-    after it runs over row blocks of the gates (``_blocks``) into
-    preallocated outputs, bit for bit the whole-array calls.
+    One GEMM runs over all live rows (two in backward), then elementwise
+    work over row blocks of the gates (``_blocks``) into preallocated
+    outputs, bit for bit the whole-array calls; the sigmoid takes whole rows
+    (~3x faster than column slices), with ``tanh(z_g)`` set aside and back.
     """
     n_rows = len(h.data)
     if parent is not None and np.array_equal(parent, np.arange(n_rows)):
@@ -512,7 +513,7 @@ def lstm_cell(x, h, c, W, b, alive=None, parent=None):
         i, f, g, o = gates(a)
         cs, hs = c2[s], h2[s]
         np.tanh(g, out=hs)
-        _sigmoid_inplace(a)  # whole rows are one contiguous pass; g's sigmoid is overwritten
+        _sigmoid_inplace(a)
         g[...] = hs
         np.multiply(f, take(c.data, src, s), out=cs)
         cs += np.multiply(i, g, out=hs)
