@@ -9,6 +9,9 @@ pop/push/read strengths. Reconstruction conditions on the final controller
 state. An optional prior head predicts the next symbol from the previous
 read, giving a learned message prior.
 
+Messages have one representation, the padded ``MessageBatch``, and every
+entry point checks the message rules on it through ``as_message_batch``.
+
 Everything here is batched: meanings/messages come in lists, tensors carry a
 leading batch axis, and per-item termination freezes finished rows (h, c and
 the stack stop changing once an item's EOS has been processed, which matches
@@ -245,7 +248,7 @@ def _to_rows(idx, *ts):
     """Gather tensors ``ts`` by the int map ``idx``: the receiver's stack and
     read to this step's parents, or its trace to rows. No record when ``idx``
     is the identity (every row its own node, or no node with a second child)."""
-    return ts if np.array_equal(idx, np.arange(len(idx))) else de.gather_rows(ts, idx)
+    return ts if de.is_identity(idx, ts[0].shape[0]) else de.gather_rows(ts, idx)
 
 
 def _sample_rows(p, rng):
@@ -263,22 +266,18 @@ def _sample_rows(p, rng):
 
 @dataclass(frozen=True)
 class Message:
-    """One emitted message: symbols include the final EOS unless the message
-    was cut off at max length. Log-probs/entropies are per emission step."""
+    """One message's symbols, the final EOS included unless the message was
+    cut off at max length: a readable view of one ``MessageBatch`` row."""
 
     symbols: tuple
-    log_prob: float
-    entropy: float
-    step_log_probs: tuple
-    step_entropies: tuple
 
     def __len__(self):
         return len(self.symbols)
 
 
 class MessageBatch:
-    """Padded batch view of messages: int symbols [B, T] (EOS-padded past each
-    item's length) and lengths [B] counting the EOS step."""
+    """Messages as the agents read them: int symbols [B, T] (EOS-padded past
+    each item's length) and lengths [B] counting the EOS step."""
 
     def __init__(self, symbols, lengths):
         self.symbols = np.asarray(symbols, dtype=np.int64)
@@ -291,35 +290,47 @@ class MessageBatch:
 
     @classmethod
     def from_sequences(cls, seqs, max_len, vocab):
-        seqs = [tuple(int(t) for t in s) for s in seqs]
-        for s in seqs:
-            if not 1 <= len(s) <= max_len:
-                raise AgentError(f"message length {len(s)} outside [1, {max_len}]")
-            if any(not 0 <= t < vocab for t in s):
-                raise AgentError(f"message {s} has symbols outside the alphabet")
-            if EOS in s[:-1]:
-                raise AgentError(f"message {s} has EOS before its final symbol")
-            if s[-1] != EOS and len(s) < max_len:
-                raise AgentError(f"message {s} is unterminated but shorter than {max_len}")
-        t_max = max(len(s) for s in seqs)
-        symbols = np.full((len(seqs), t_max), EOS, dtype=np.int64)
+        seqs = [tuple(s) for s in seqs]
+        symbols = np.full((len(seqs), max(map(len, seqs))), EOS, dtype=np.int64)
         for b, s in enumerate(seqs):
             symbols[b, : len(s)] = s
-        return cls(symbols, np.array([len(s) for s in seqs]))
+        return cls(symbols, [len(s) for s in seqs]).check(max_len, vocab)
+
+    def check(self, max_len, vocab):
+        """The batch, if each message's length is in [1, min(max_len, T)],
+        every symbol (padding too) is in [0, vocab), EOS comes only last, and
+        only a message of length ``max_len`` lacks it; else ``AgentError``."""
+        symbols, n = self.symbols, self.lengths
+
+        def refuse(bad, rule):
+            if bad.any():
+                b = int(np.argmax(bad))
+                raise AgentError(f"message {b} {symbols[b].tolist()}[:{n[b]}] {rule}")
+
+        t_max = symbols.shape[1]
+        hi = min(max_len, t_max)
+        refuse((n < 1) | (n > hi), f"has a length outside [1, {hi}]")
+        refuse(((symbols < 0) | (symbols >= vocab)).any(axis=1), "has symbols outside the alphabet")
+        first_eos = np.where(symbols == EOS, np.arange(t_max), t_max).min(axis=1)  # t_max if no EOS
+        refuse(first_eos < n - 1, "has EOS before its final symbol")
+        refuse((first_eos >= n) & (n < max_len), f"is unterminated but shorter than {max_len}")
+        return self
 
 
 def as_message_batch(messages, max_len, vocab):
+    """``messages`` (a batch, or symbol sequences or ``Message``s) as a checked
+    ``MessageBatch``: the one way messages enter ``score``, ``encode`` and the prior."""
     if isinstance(messages, MessageBatch):
-        return messages
+        return messages.check(max_len, vocab)
     seqs = [m.symbols if isinstance(m, Message) else m for m in messages]
     return MessageBatch.from_sequences(seqs, max_len, vocab)
 
 
 @dataclass
 class EmitResult:
-    """An emitted batch. ``messages`` (one ``Message`` per item) is built on
-    first access; training and evaluation read only ``batch`` and the
-    tensors."""
+    """An emitted batch. Per-item log-probabilities and entropies are rows of
+    its arrays; ``messages`` (one ``Message`` per item) is built on first
+    access, and training and evaluation read only ``batch`` and the arrays."""
 
     batch: MessageBatch
     log_probs: Tensor  # [B], on the active tape
@@ -329,18 +340,8 @@ class EmitResult:
 
     @functools.cached_property
     def messages(self):
-        out = []
-        for b, m in enumerate(self.batch.lengths.tolist()):
-            out.append(
-                Message(
-                    symbols=tuple(self.batch.symbols[b, :m].tolist()),
-                    log_prob=float(self.log_probs.data[b]),
-                    entropy=float(self.entropies.data[b]),
-                    step_log_probs=tuple(self.step_log_probs[b, :m].tolist()),
-                    step_entropies=tuple(self.step_entropies[b, :m].tolist()),
-                )
-            )
-        return out
+        rows, lengths = self.batch.symbols.tolist(), self.batch.lengths.tolist()
+        return [Message(tuple(row[:m])) for row, m in zip(rows, lengths)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Command-line entry points: run, preset, sweep, report.
+"""Command-line entry points: run, sweep, report.
 
 numpy (and everything that imports it) is loaded inside ``main`` so that
 ``ECLAB_DETERMINISTIC=1`` can pin the BLAS thread pools to a single thread
@@ -47,9 +47,6 @@ def _build_parser():
         action="store_true",
         help="print the resolved config as JSON and exit",
     )
-
-    p_preset = sub.add_parser("preset", help="print a resolved preset as JSON")
-    p_preset.add_argument("name")
 
     p_sweep = sub.add_parser("sweep", help="run a strategy x seed grid")
     p_sweep.add_argument("--preset", required=True)
@@ -127,10 +124,6 @@ def main(argv=None):
     try:
         if args.command == "run":
             return _cmd_run(runner, args)
-        if args.command == "preset":
-            config = runner.resolve_preset(args.name)
-            print(json.dumps(runner.to_dict(config), indent=2, sort_keys=True))
-            return 0
         if args.command == "sweep":
             return _cmd_sweep(runner, args)
         if args.command == "report":

@@ -311,6 +311,11 @@ def _scatter_rows(g, idx, n_rows):
     return buf
 
 
+def is_identity(idx, n_rows):
+    """Whether gathering ``n_rows`` rows by ``idx`` is a no-op: ``idx`` is ``arange(n_rows)``."""
+    return len(idx) == n_rows and np.array_equal(idx, np.arange(n_rows))
+
+
 def take_rows(table, idx):
     """Embedding lookup ``table[idx[i]]`` (int ``idx``): ``gather_rows`` of one 2-d table."""
     idx = np.asarray(idx)
@@ -469,8 +474,8 @@ def lstm_cell(x, h, c, W, b, alive=None, parent=None):
     (~3x faster than column slices), with ``tanh(z_g)`` set aside and back.
     """
     n_rows = len(h.data)
-    if parent is not None and np.array_equal(parent, np.arange(n_rows)):
-        parent = None  # the identity
+    if parent is not None and is_identity(parent, n_rows):
+        parent = None
     n = n_rows if parent is None else len(parent)
     if x.ndim != 2 or h.ndim != 2 or h.shape != c.shape or x.shape[0] != n:
         raise ShapeError(
@@ -582,8 +587,8 @@ def categorical(logits, symbols, alive, nodes=None):
             f" alive {alive.shape} and maps {[np.shape(m) for m in maps]} do not fit"
         )
     # the rows each step reads (the index checks their range), None for the identity
-    rows = [None if m is None or (z.shape[0] == n and np.array_equal(m, np.arange(n)))
-            else np.arange(z.shape[0])[m] for z, m in zip(logits, maps)]
+    rows = [None if m is None or is_identity(m, z.shape[0]) else np.arange(z.shape[0])[m]
+            for z, m in zip(logits, maps)]
     sym = symbols.T[..., None]  # [T, B, 1]
     masks = alive.T.astype(logits[0].dtype)  # a 1.0 leaves a term's bits alone
     stacked = np.stack([z.data if r is None else z.data[r] for z, r in zip(logits, rows)])

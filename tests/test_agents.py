@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -90,15 +91,16 @@ def test_emit_terminates_and_is_well_formed():
     state = s.encode(sp.meanings)
     res = s.emit(state, mode="sample", rng=rng)
     assert len(res.messages) == len(sp.meanings)
-    for m in res.messages:
+    for b, m in enumerate(res.messages):
         assert 1 <= len(m) <= s.max_len
         assert all(0 <= t < s.vocab for t in m.symbols)
         if len(m) < s.max_len:
             assert m.symbols[-1] == EOS
         assert EOS not in m.symbols[:-1]
-        assert m.log_prob == pytest.approx(sum(m.step_log_probs), rel=1e-9)
-        assert m.entropy == pytest.approx(sum(m.step_entropies), rel=1e-9)
-        assert m.entropy >= 0.0
+        n = len(m)
+        assert res.log_probs.data[b] == pytest.approx(sum(res.step_log_probs[b, :n]), rel=1e-9)
+        assert res.entropies.data[b] == pytest.approx(sum(res.step_entropies[b, :n]), rel=1e-9)
+        assert res.entropies.data[b] >= 0.0
 
 
 def test_emit_deterministic_given_rng():
@@ -120,13 +122,16 @@ def test_emit_builds_messages_only_on_access():
     assert "messages" not in vars(res)
     msgs = res.messages
     assert res.messages is msgs
+    assert [f.name for f in dataclasses.fields(Message)] == ["symbols"]
+    t_max = res.batch.symbols.shape[1]
+    assert res.log_probs.shape == res.entropies.shape == (len(msgs),)
+    assert res.step_log_probs.shape == res.step_entropies.shape == (len(msgs), t_max)
     for b, m in enumerate(msgs):
         n = int(res.batch.lengths[b])
-        assert m.symbols == tuple(int(t) for t in res.batch.symbols[b, :n])
-        assert m.log_prob == float(res.log_probs.data[b])
-        assert m.entropy == float(res.entropies.data[b])
-        assert m.step_log_probs == tuple(float(v) for v in res.step_log_probs[b, :n])
-        assert m.step_entropies == tuple(float(v) for v in res.step_entropies[b, :n])
+        assert m == Message(tuple(int(t) for t in res.batch.symbols[b, :n]))
+        # an item's log-prob and entropy add its steps in step order: float64 sums, exactly
+        assert res.log_probs.data[b] == sum(res.step_log_probs[b, :n].tolist())
+        assert res.entropies.data[b] == sum(res.step_entropies[b, :n].tolist())
 
 
 def test_lstm_cell_step_is_one_tape_node():
@@ -197,6 +202,69 @@ def test_message_batch_validation():
     assert list(b.lengths) == [2, 3]
     assert b.symbols[0, 2] == EOS  # padding
     assert as_message_batch(b, 3, 3) is b
+
+
+# (symbols, lengths, the rule's words) at vocab 3, max_len 3; the first three
+# once crashed in the stack code or were scored past their end
+BROKEN_BATCHES = {
+    "negative-symbol": ([[1, 0, 0], [2, -1, -1]], [2, 3], "alphabet"),
+    "read-past-eos": ([[1, 0, 2]], [3], "EOS before"),
+    "longer-than-max-len": ([[1, 1, 1, 1, 0]], [5], "length"),
+    "empty": ([[0, 0]], [0], "length"),
+    "longer-than-its-row": ([[1, 0]], [3], "length"),
+    "symbol-past-vocab": ([[2, 3, 0]], [3], "alphabet"),
+    "padding-past-vocab": ([[1, 0, 3]], [2], "alphabet"),
+    "eos-in-the-middle": ([[2, 0, 1, 0]], [3], "EOS before"),
+    "unterminated": ([[1, 2, 0]], [2], "unterminated"),
+}
+
+
+@pytest.mark.parametrize("entry", ["score", "encode", "message_log_prior"])
+@pytest.mark.parametrize("case", BROKEN_BATCHES)
+def test_every_entry_point_refuses_a_batch_that_breaks_a_rule(entry, case):
+    symbols, lengths, rule = BROKEN_BATCHES[case]
+    sp = attr_space()
+    s = small_sender(sp)
+    r = small_receiver(sp, with_prior=True)
+    batch = MessageBatch(symbols, lengths)
+    n = len(batch)
+    reads = r.encode(msgs_batch([(1, 1, 1)] * n), "learned").reads
+    calls = {
+        "score": lambda: s.score(s.encode(sp.meanings[:n]), batch),
+        "encode": lambda: r.encode(batch, "learned"),
+        "message_log_prior": lambda: r.message_log_prior(batch, reads),
+    }
+    with pytest.raises(AgentError, match=rule):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("mode", ["sample", "greedy"])
+@pytest.mark.parametrize("preset", ["smoke-attrval", "smoke-dyck"])
+def test_emitted_batches_keep_the_message_rules(preset, mode):
+    config = runner.resolve_preset(preset, hidden=16)
+    state = runner.start(config, np.float64)
+    s = state.sender
+    res = s.emit(s.encode(state.train), mode, rng=np.random.default_rng(0))
+    assert res.batch.check(s.max_len, s.vocab) is res.batch
+    assert as_message_batch(res.batch, s.max_len, s.vocab) is res.batch
+
+
+def test_a_strict_prefix_of_arange_is_not_the_identity():
+    assert de.is_identity(np.arange(3), 3)
+    assert not de.is_identity(np.array([0]), 2)
+    assert not de.is_identity(np.arange(3), 2)
+    # each site reads the first of two rows through the map [0]
+    two = tensor(np.arange(8.0).reshape(2, 4), dtype=np.float64)
+    top = tensor(two.data[:1], dtype=np.float64)
+    (one,) = agents_module._to_rows(np.array([0]), two)
+    assert np.array_equal(one.data, top.data)
+    cell = LstmCell(np.random.default_rng(0), 3, 4, np.float64)
+    x = tensor(np.ones((1, 3)), dtype=np.float64)
+    h, c = cell.step(x, two, two, parent=np.array([0]))
+    h1, c1 = cell.step(x, top, top)
+    assert np.array_equal(h.data, h1.data) and np.array_equal(c.data, c1.data)
+    picked = de.categorical([two], [[2]], [[True]], [np.array([0])])[0]
+    assert np.array_equal(picked.data, de.categorical([top], [[2]], [[True]])[0].data)
 
 
 @pytest.mark.parametrize(

@@ -20,17 +20,23 @@ TINY_SETS = [
 ]
 
 
-def test_preset_command_prints_json(capsys):
-    assert main(["preset", "exp1-dyck-k1"]) == 0
+def test_print_config_prints_a_resolved_preset(capsys):
+    assert main(["run", "--preset", "exp1-dyck-k1", "--print-config"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["hidden"] == 512
     assert out["k"] == 1 and out["l_max"] == 18
     assert out["iterations"] == 15000
 
 
-def test_preset_command_unknown_name(capsys):
-    assert main(["preset", "bogus"]) == 2
+def test_print_config_unknown_preset(capsys):
+    assert main(["run", "--preset", "bogus", "--print-config"]) == 2
     assert "unknown preset" in capsys.readouterr().err
+
+
+def test_there_is_no_preset_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["preset", "smoke-attrval"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_run_print_config_with_overrides(capsys):

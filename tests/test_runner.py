@@ -413,6 +413,18 @@ def test_traced_benchmark_sees_every_runner_call_under_its_root(tmp_path, monkey
         assert {(s.parent.name, s.root) for s in spans} == {("runner.run", root)}, name
 
 
+def test_benchmark_kernels_run_on_the_public_api(monkeypatch):
+    # the traced benchmark times LstmCell.step, StackState.empty, stack_push,
+    # StackDirectives and stack_step through these calls
+    kernels = _load(monkeypatch, "perfbench/kernels.py")
+    # three repeats each: a median, so one slow repeat cannot zero a net time
+    monkeypatch.setattr(kernels, "BUDGET_S", 0)
+    monkeypatch.setattr(kernels, "MIN_REPS", 3)
+    metrics = kernels.kernel_metrics(eclab, quick=True)
+    assert len(metrics) == 17
+    assert all(math.isfinite(value) for value, _ in metrics.values())
+
+
 def test_run_and_both_tools_take_the_same_first_step(tmp_path, monkeypatch):
     # a rewo run plays its first batch at beta0, and both tools measure that
     # step; after three steps grad_hash evaluates what eclab run logs (random
