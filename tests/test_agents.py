@@ -204,8 +204,8 @@ def test_message_batch_validation():
     assert as_message_batch(b, 3, 3) is b
 
 
-# (symbols, lengths, the rule's words) at vocab 3, max_len 3; the first three
-# once crashed in the stack code or were scored past their end
+# (symbols, lengths, the rule's words) at vocab 3, max_len 3; let in, the first
+# three would crash the stack code or be read past their end
 BROKEN_BATCHES = {
     "negative-symbol": ([[1, 0, 0], [2, -1, -1]], [2, 3], "alphabet"),
     "read-past-eos": ([[1, 0, 2]], [3], "EOS before"),
