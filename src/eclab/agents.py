@@ -16,8 +16,10 @@ Everything here is batched: meanings/messages come in lists, tensors carry a
 leading batch axis, and per-item termination freezes finished rows (h, c and
 the stack stop changing once an item's EOS has been processed, which matches
 running each item on its own). The LSTM cells and ``stack_step`` take the
-bool ``alive`` mask directly: a frozen row keeps its h and c, pops and pushes
-nothing and keeps its last read, inside the fused op.
+bool ``alive`` mask directly: a frozen row keeps its h and c, and pops and
+pushes nothing, inside the fused op. It still reads its unchanged stack; its
+read reaches the loss only through masked prior positions and frozen LSTM
+inputs.
 
 An LSTM's state after step t depends only on its root and the symbol prefix
 up to t, so all four LSTMs run each step on *nodes*, one per distinct (root,
@@ -291,16 +293,19 @@ class MessageBatch:
     @classmethod
     def from_sequences(cls, seqs, max_len, vocab):
         seqs = [tuple(s) for s in seqs]
-        symbols = np.full((len(seqs), max(map(len, seqs))), EOS, dtype=np.int64)
+        symbols = np.full((len(seqs), max(map(len, seqs), default=0)), EOS, dtype=np.int64)
         for b, s in enumerate(seqs):
             symbols[b, : len(s)] = s
         return cls(symbols, [len(s) for s in seqs]).check(max_len, vocab)
 
     def check(self, max_len, vocab):
-        """The batch, if each message's length is in [1, min(max_len, T)],
-        every symbol (padding too) is in [0, vocab), EOS comes only last, and
-        only a message of length ``max_len`` lacks it; else ``AgentError``."""
+        """The batch, cut to its longest message's columns, if it has a row,
+        each message's length is in [1, min(max_len, T)], every symbol
+        (padding too) is in [0, vocab), EOS comes only last, and only a
+        message of length ``max_len`` lacks it; else ``AgentError``."""
         symbols, n = self.symbols, self.lengths
+        if not len(n):
+            raise AgentError("empty message batch: no messages to read")
 
         def refuse(bad, rule):
             if bad.any():
@@ -314,7 +319,8 @@ class MessageBatch:
         first_eos = np.where(symbols == EOS, np.arange(t_max), t_max).min(axis=1)  # t_max if no EOS
         refuse(first_eos < n - 1, "has EOS before its final symbol")
         refuse((first_eos >= n) & (n < max_len), f"is unterminated but shorter than {max_len}")
-        return self
+        width = int(n.max())
+        return self if width == t_max else MessageBatch(symbols[:, :width], n)
 
 
 def as_message_batch(messages, max_len, vocab):
@@ -464,8 +470,9 @@ class StepTrace:
     """Receiver internals for one message position (mainly for analysis).
 
     ``u``, ``d`` and ``r`` are the directives the strategy produced; the stack
-    pops and pushes only on rows still running, and a finished row's ``read``
-    is its last read."""
+    pops and pushes only on rows still running, and every row's ``read`` is
+    its stack read with ``r``. A finished row's stack and, under learned and
+    left, its ``r`` no longer change, so its read repeats its last one."""
 
     push_value: Tensor  # v_t, [B, hidden]
     read: Tensor  # r_t as returned by the stack, [B, hidden]
@@ -592,10 +599,8 @@ class Receiver(ParamModule):
                 u, d, r = frozen_draws
             else:
                 u, d, r = self._random_directives(rng, n)
-            # finished rows pop and push nothing and keep their last read
-            stack, read = stack_step(
-                stack, StackDirectives(v=v, u=u, d=d, r=r), alive=live, prev_read=read
-            )
+            # finished rows pop and push nothing and read their unchanged stack
+            stack, read = stack_step(stack, StackDirectives(v=v, u=u, d=d, r=r), alive=live)
             reads.append((read, node))
             if want_trace:
                 trace.append(StepTrace(*_to_rows(node, v, read, u, d, r)))

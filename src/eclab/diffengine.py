@@ -12,8 +12,10 @@ decoding, metrics) fast.
 Every record has one shape: ``outs`` is a tuple of tensors, one for most ops
 and several for a fused op. ``backward_fn`` takes one cotangent per output,
 ``None`` for an output the loss does not reach, runs as soon as any output
-has a cotangent, and returns one cotangent (or ``None``) per input. ``op``
-names the op that made the record (``take_rows`` records ``gather_rows``).
+has a cotangent, and returns one cotangent (or ``None``) per input. An
+input slot may hold ``None``, as ``stack_step``'s slot of a directive that
+did not act does; its cotangent is ``None``. ``op`` names the op that made
+the record (``take_rows`` records ``gather_rows``).
 The fused ops ``lstm_cell`` (one LSTM step, with its row freeze and regroup)
 and ``categorical`` (the summed log-likelihood and entropy of T draws, with
 its node-to-row gather) are single records with a hand-written backward.
@@ -845,8 +847,9 @@ def adam_step(state, params, grads):
     ``params`` maps name -> Tensor and ``grads`` maps name -> ndarray of the
     same shape. ``state`` is updated in place (step count, and the moment
     arrays are overwritten); no gradient array is, as two may share one.
-    Each update runs over leading-axis blocks (``_blocks``) with two block
-    buffers, bit for bit the whole-array calls.
+    Each update runs over leading-axis blocks (``_blocks``) with one block
+    buffer, bit for bit the whole-array calls: the block of the new array
+    holds ``g + l2 * p``, then the step, then ``p - step``.
     """
     state.step += 1
     t = state.step
@@ -865,19 +868,19 @@ def adam_step(state, params, grads):
             v = state.v[name] = np.zeros_like(p.data)
         new = np.empty_like(p.data)
         for s in _blocks(p.data):
-            gs, ps, ms, vs = g[s], p.data[s], m[s], v[s]
-            buf, step = (np.empty_like(ps) for _ in range(2))
+            gs, ps, ms, vs, ns = g[s], p.data[s], m[s], v[s], new[s]
+            buf = np.empty_like(ps)
             if state.l2:  # g + l2 * p
-                gs = np.add(gs, np.multiply(state.l2, ps, out=step), out=step)
+                gs = np.add(gs, np.multiply(state.l2, ps, out=ns), out=ns)
             # in place: v = b2 * v + (1 - b2) * (g * g), m = b1 * m + (1 - b1) * g
             # and new = p - lr * (m / c1) / (sqrt(v / c2) + eps)
             vs *= b2
             vs += np.multiply(np.multiply(gs, gs, out=buf), 1.0 - b2, out=buf)
             ms *= b1
             ms += np.multiply(gs, 1.0 - b1, out=buf)
-            np.divide(ms, c1, out=step)
-            step *= state.lr
-            step /= np.add(np.sqrt(np.divide(vs, c2, out=buf), out=buf), state.eps, out=buf)
-            np.subtract(ps, step, out=new[s])
+            np.divide(ms, c1, out=ns)
+            ns *= state.lr
+            ns /= np.add(np.sqrt(np.divide(vs, c2, out=buf), out=buf), state.eps, out=buf)
+            np.subtract(ps, ns, out=ns)
         out[name] = Tensor._wrap(new)
     return out

@@ -120,15 +120,18 @@ def _gate_backward(acc, g_gates, sel):
     return dx
 
 
-def _transition(state, u=None, v=None, d=None, r=None, alive=None, prev_read=None):
+def _transition(state, u=None, v=None, d=None, r=None, alive=None):
     """Pop ``u``, push ``(v, d)``, prune, then read ``r``, as one tape record.
 
     Each part runs only when its directive is given; a push is followed by
     the prune. Returns ``(strengths, values, read)``: the new strength
     tensor, the value tensors and the read (None without ``r``). Rows where
-    the bool ``alive`` is False pop 0, push 0 and read ``prev_read``. The
-    strength matrix is [depth, B], so every running sum is a vector add over
-    the batch.
+    the bool ``alive`` is False pop 0 and push 0, so their stack stays as it
+    was, and they read it like any other row. The record's inputs are ``(r,
+    *values read, strengths, u, d)``, None in the slot of a directive that
+    did not act, and its backward returns one cotangent or None per slot.
+    The strength matrix is [depth, B], so every running sum is a vector add
+    over the batch.
     """
     lead = () if state.batch is None else (state.batch,)
     B = 1 if state.batch is None else state.batch
@@ -136,7 +139,6 @@ def _transition(state, u=None, v=None, d=None, r=None, alive=None, prev_read=Non
     freeze = alive is not None and not alive.all()
     if freeze:
         alive = alive.reshape(B)
-        frozen = np.flatnonzero(~alive)
     pop, push, read = u is not None and n > 0, d is not None, r is not None
     changed = pop or push
 
@@ -164,10 +166,9 @@ def _transition(state, u=None, v=None, d=None, r=None, alive=None, prev_read=Non
             S = S[cols]
             values = tuple(values[i] for i in cols)
 
-    outs, inputs = [], []
+    outs, xts = [], values[::-1] if read else ()
     if read:
         # entries top first: xts, xs, ktop and w line up entry by entry
-        xts = values[::-1]
         xs = [x.data.reshape(B, W) for x in xts]
         rd = r.data.reshape(B)
         ktop = S[::-1]
@@ -179,69 +180,41 @@ def _transition(state, u=None, v=None, d=None, r=None, alive=None, prev_read=Non
         total = xs[0] * w[0][:, None] if xs else np.zeros((B, W), dt)
         for k in range(1, len(xs)):
             total += xs[k] * w[k][:, None]
-        if freeze:
-            total[frozen] = prev_read.data.reshape(B, W)[frozen]
         outs.append(total.reshape(lead + (W,)))
-        inputs += [r, *xts] + ([prev_read] if freeze else [])
     if changed:
         outs.append(np.ascontiguousarray(S.T).reshape(lead + (len(S),)))
-    if pop or read:
-        inputs.append(state.strengths)
-    if pop:
-        inputs.append(u)
-    if push:
-        inputs.append(d)
+    inputs = (r, *xts, state.strengths, u if pop else None, d)
 
     def bw(*gs):
         g_read = gs[0] if read else None
-        g_strengths = gs[-1] if changed else None
         G = np.zeros((n_post, B), dt)  # cotangents of the pushed-to entries
-        if g_strengths is not None:
-            G[cols] = g_strengths.reshape(B, len(cols)).T
-        grads = []
-        if read:
-            if g_read is None:
-                grads += [None] * (1 + len(xs) + freeze)
-            else:
-                gr = g_read.reshape(B, W)
-                if freeze:
-                    # a frozen row's cotangent goes to prev_read, none to the stack
-                    g_prev = np.zeros_like(gr)
-                    g_prev[frozen] = gr[frozen]
-                    gr = gr.copy()
-                    gr[frozen] = 0
-                if xs:
-                    dw = np.stack([(gr * x).sum(axis=1) for x in xs])
-                    sel = ktop <= avail
-                    acc = G[cols][::-1]
-                    dr = _gate_backward(acc, dw * ~sel, gap2 >= 0)
-                    acc += dw * sel
-                    G[cols] = acc[::-1]
-                    grads.append(dr.reshape(r.shape))
-                    grads += [(gr * w[k][:, None]).reshape(x.shape) for k, x in enumerate(xts)]
-                else:
-                    grads.append(None)
-                if freeze:
-                    grads.append(g_prev.reshape(prev_read.shape))
+        if changed and gs[-1] is not None:
+            G[cols] = gs[-1].reshape(B, len(cols)).T
+        dr, dxs = None, [None] * len(xts)
+        if g_read is not None and xts:
+            gr = g_read.reshape(B, W)
+            dw = np.stack([(gr * x).sum(axis=1) for x in xs])
+            sel = ktop <= avail
+            acc = G[cols][::-1]
+            dr = _gate_backward(acc, dw * ~sel, gap2 >= 0).reshape(r.shape)
+            acc += dw * sel
+            G[cols] = acc[::-1]
+            dxs = [(gr * w[k][:, None]).reshape(x.shape) for k, x in enumerate(xts)]
+        du = dd = None
+        dS = G[:n]
         if pop:
-            t = G[:n][::-1] * (pre >= 0)
+            t = dS[::-1] * (pre >= 0)
             acc = np.zeros_like(t)
-            du = _gate_backward(acc, -t, gap >= 0)
+            du = live(_gate_backward(acc, -t, gap >= 0)).reshape(u.shape)
             acc += t
             dS = acc[::-1]
-        else:
-            dS = G[:n]
-        if pop or read:
-            grads.append(dS.T.reshape(state.strengths.shape))
-        if pop:
-            grads.append(live(du).reshape(u.shape))
         if push:
-            grads.append(live(G[-1]).reshape(d.shape))
-        return grads
+            dd = live(G[-1]).reshape(d.shape)
+        return (dr, *dxs, dS.T.reshape(state.strengths.shape), du, dd)
 
     if not outs:
         return state.strengths, values, None
-    res = de._finish_many(outs, "stack_step", tuple(inputs), bw)
+    res = de._finish_many(outs, "stack_step", inputs, bw)
     return res[-1] if changed else state.strengths, values, res[0] if read else None
 
 
@@ -281,14 +254,15 @@ def stack_read(state, r):
     return _transition(state, r=r)[2]
 
 
-def stack_step(state, directives, alive=None, prev_read=None):
+def stack_step(state, directives, alive=None):
     """One full transition: pop ``u``, push ``(v, d)``, read ``r``.
 
     Returns ``(new_state, read_vector)``; the whole step is one tape record.
     Entries whose strength fell below 1e-9 everywhere in the batch are pruned
     so depth stays bounded by the number of surviving pushes. ``alive`` is an
     optional bool mask over the batch: rows where it is False (their item has
-    finished) pop and push nothing and return ``prev_read`` as their read.
+    finished) pop and push nothing, so their stack stays as it was, and read
+    it with their ``r`` like any other row.
     """
     if not isinstance(directives, StackDirectives):
         raise StackError(f"expected StackDirectives, got {type(directives).__name__}")
@@ -302,9 +276,7 @@ def stack_step(state, directives, alive=None, prev_read=None):
         alive = np.asarray(alive, dtype=bool)
         if alive.shape != want[:-1]:
             raise StackError(f"alive mask shape {alive.shape}, expected {want[:-1]}")
-        if not alive.all() and (prev_read is None or prev_read.shape != want):
-            raise StackError(f"frozen rows need a prev_read of shape {want}")
-    strengths, values, read = _transition(state, u, directives.v, d, r, alive, prev_read)
+    strengths, values, read = _transition(state, u, directives.v, d, r, alive)
     return StackState(values, strengths, state.width), read
 
 

@@ -197,6 +197,8 @@ def test_message_batch_validation():
         MessageBatch.from_sequences([(7, 0)], max_len=3, vocab=3)
     with pytest.raises(AgentError, match="length"):
         MessageBatch.from_sequences([(1, 1, 1, 0)], max_len=3, vocab=3)
+    with pytest.raises(AgentError, match="empty message batch"):
+        MessageBatch.from_sequences([], max_len=3, vocab=3)
     b = MessageBatch.from_sequences([(1, 0), (2, 2, 1)], max_len=3, vocab=3)
     assert b.symbols.shape == (2, 3)
     assert list(b.lengths) == [2, 3]
@@ -216,6 +218,7 @@ BROKEN_BATCHES = {
     "padding-past-vocab": ([[1, 0, 3]], [2], "alphabet"),
     "eos-in-the-middle": ([[2, 0, 1, 0]], [3], "EOS before"),
     "unterminated": ([[1, 2, 0]], [2], "unterminated"),
+    "no-messages": (np.zeros((0, 3), dtype=np.int64), [], "empty message batch"),
 }
 
 
@@ -228,7 +231,7 @@ def test_every_entry_point_refuses_a_batch_that_breaks_a_rule(entry, case):
     r = small_receiver(sp, with_prior=True)
     batch = MessageBatch(symbols, lengths)
     n = len(batch)
-    reads = r.encode(msgs_batch([(1, 1, 1)] * n), "learned").reads
+    reads = r.encode(msgs_batch([(1, 1, 1)] * max(n, 1)), "learned").reads
     calls = {
         "score": lambda: s.score(s.encode(sp.meanings[:n]), batch),
         "encode": lambda: r.encode(batch, "learned"),
@@ -236,6 +239,23 @@ def test_every_entry_point_refuses_a_batch_that_breaks_a_rule(entry, case):
     }
     with pytest.raises(AgentError, match=rule):
         calls[entry]()
+
+
+def test_a_batch_wider_than_its_longest_message_is_cut_to_it():
+    sp = attr_space()
+    s = small_sender(sp)
+    r = small_receiver(sp, with_prior=True)
+    wide = MessageBatch([[1, 0, 0, 0, 0, 0]], [2])
+    narrow = msgs_batch([(1, 0)])
+    assert as_message_batch(wide, 3, 3).symbols.tolist() == [[1, 0]]
+    enc = r.encode(wide, "learned")
+    assert len(enc.reads) == 3  # the zero read and one per symbol
+    want = r.encode(narrow, "learned")
+    assert np.array_equal(enc.state.h.data, want.state.h.data)
+    prior = r.message_log_prior(wide, enc.reads).data
+    assert np.array_equal(prior, r.message_log_prior(narrow, want.reads).data)
+    state = s.encode(sp.meanings[:1])
+    assert np.array_equal(s.score(state, wide).data, s.score(state, narrow).data)
 
 
 @pytest.mark.parametrize("mode", ["sample", "greedy"])
@@ -335,6 +355,24 @@ def test_left_branching_read_equals_push_value():
         np.testing.assert_allclose(
             tr.read.data[alive], tr.push_value.data[alive], atol=1e-12
         )
+
+
+@pytest.mark.parametrize("strategy", ["learned", "left"])
+@pytest.mark.parametrize("preset", ["smoke-attrval", "smoke-dyck"])
+def test_a_finished_rows_reads_repeat_its_last_read(preset, strategy):
+    # a finished row keeps its stack and, under these strategies, its
+    # directives, so each read it makes after its last symbol is its last read
+    state = runner.start(runner.resolve_preset(preset), np.float64)
+    r = state.receiver
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1, r.max_len + 1, size=40)
+    seqs = [tuple(rng.integers(1, r.vocab, size=n - 1)) + (EOS,) for n in lengths]
+    enc = r.encode(seqs, strategy, want_trace=True)
+    assert lengths.min() < len(enc.trace)
+    for b, n in enumerate(lengths):
+        last = enc.trace[n - 1].read.data[b]
+        for tr in enc.trace[n:]:
+            assert np.array_equal(tr.read.data[b], last), (b, n)
 
 
 def test_learned_directives_respect_caps():
@@ -691,9 +729,7 @@ def row_encode(r, batch, strategy, rng=None, depths=None):
             u, d, rr = frozen_draws
         else:
             u, d, rr = r._random_directives(rng, n)
-        stack, read = stack_step(
-            stack, StackDirectives(v=v, u=u, d=d, r=rr), alive=alive, prev_read=read
-        )
+        stack, read = stack_step(stack, StackDirectives(v=v, u=u, d=d, r=rr), alive=alive)
         if depths is not None:
             depths.append(stack.depth)
         reads.append(read)

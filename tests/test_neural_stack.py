@@ -7,6 +7,7 @@ from eclab.neural_stack import (
     StackDirectives,
     StackError,
     StackState,
+    _transition,
     stack_pop,
     stack_push,
     stack_read,
@@ -212,7 +213,7 @@ def _weighted(value, w):
     return de.scale_rows(value, w) if value.ndim == 2 else de.mul(value, w)
 
 
-def ref_step(strengths, values, v, u, d, r, alive=None, prev_read=None):
+def ref_step(strengths, values, v, u, d, r, alive=None):
     """pop -> push -> prune -> read as the per-entry loop of maximum/minimum/
     sub/add/scale_rows records, with the row freeze done outside the stack."""
     keep = None
@@ -239,18 +240,15 @@ def ref_step(strengths, values, v, u, d, r, alive=None, prev_read=None):
         above = s if above is None else de.add(above, s)
     if read is None:
         read = de.zeros(v.shape, dtype=v.dtype)
-    if keep is not None:
-        drop = Tensor._wrap((~alive).astype(np.float64))
-        read = de.add(de.scale_rows(read, keep), de.scale_rows(prev_read, drop))
     return strengths, values, read
 
 
-def fused_step(strengths, values, v, u, d, r, alive=None, prev_read=None):
+def fused_step(strengths, values, v, u, d, r, alive=None):
     batch = None if v.ndim == 1 else v.shape[0]
     st = StackState.empty(v.shape[-1], batch, np.float64)
     for x, s in zip(values, strengths):
         st = stack_push(st, x, s)
-    st, read = stack_step(st, StackDirectives(v=v, u=u, d=d, r=r), alive, prev_read)
+    st, read = stack_step(st, StackDirectives(v=v, u=u, d=d, r=r), alive)
     column = lambda k: k if batch is None else np.full(batch, k)
     strengths = [de.take_last(st.strengths, column(k)) for k in range(st.depth)]
     return strengths, list(st.values), read
@@ -294,7 +292,7 @@ def stack_program(step, leaves, alive_steps=None):
         strengths, values, read = step(
             strengths, values,
             *(leaves[f"{n}{t}"] for n in "vudr"),
-            alive=alive, prev_read=read,
+            alive=alive,
         )
         term = de.reduce_sum(_weighted(read, c) if read.ndim == 1 else de.matmul(read, c))
         loss = term if loss is None else de.add(loss, term)
@@ -367,7 +365,7 @@ def test_fused_step_backward_with_no_read_cotangent(batch, alive_steps):
         for t in range(4):
             alive = None if alive_steps is None else alive_steps[t]
             args = (leaves[f"{n}{t}"] for n in "vudr")
-            strengths, values, read = step(strengths, values, *args, alive=alive, prev_read=read)
+            strengths, values, read = step(strengths, values, *args, alive=alive)
         loss = de.reduce_sum(strengths[0])
         for k, s in enumerate(strengths[1:]):
             loss = de.add(loss, de.mul(de.reduce_sum(s), 0.4 + 0.1 * k))
@@ -457,19 +455,35 @@ def test_fused_step_frozen_rows_pass_through():
             st,
             StackDirectives(v=leaves["v0"], u=leaves["u0"], d=leaves["d0"], r=leaves["r0"]),
             alive=alive,
-            prev_read=leaves["read0"],
         )
         loss = de.reduce_sum(read)
-    # the frozen row keeps its read and strengths and pushed nothing
-    np.testing.assert_array_equal(read.data[1], leaves["read0"].data[1])
+    # the frozen row keeps its strengths, pushes 0 and reads its unchanged stack
     for s_old, s_new in zip(st.strengths.data.T, out.strengths.data.T):
         assert s_new[1] == s_old[1]
     assert out.strengths.data[1, -1] == 0.0
+    np.testing.assert_array_equal(read.data[1], stack_read(st, leaves["r0"]).data[1])
     grads = backward(tape, loss)
-    np.testing.assert_array_equal(grads[leaves["read0"]], [[0.0] * 3, [1.0] * 3, [0.0] * 3])
-    for name in ("u0", "d0", "r0"):
+    for name in ("u0", "d0"):
         assert grads[leaves[name]][1] == 0.0
-    assert np.all(grads[leaves["v0"]][1] == 0.0)
+        assert grads[leaves[name]][0] != 0.0
+    assert grads[leaves["r0"]][1] != 0.0
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_push_only_transition_grad_check_wrt_old_strengths(batch):
+    # a push alone keeps the old entries, so their cotangents reach the old strengths
+    rng = np.random.default_rng(71)
+    leaves = make_leaves(rng, batch, steps=1)
+    lead = () if batch is None else (batch,)
+    weights = f64(rng.normal(size=lead + (4,)))
+    values = tuple(leaves[f"x{i}"] for i in range(3))
+
+    def f(s):
+        strengths, _, _ = _transition(StackState(values, s, 3), v=leaves["v0"], d=leaves["d0"])
+        return de.reduce_sum(de.mul(strengths, weights))
+
+    s0 = f64(np.stack([leaves[f"s{i}"].data for i in range(3)], axis=-1))
+    assert grad_check(f, s0) < 1e-7
 
 
 def test_fused_step_prunes_dust_across_the_batch():
@@ -492,7 +506,7 @@ def test_fused_step_is_one_tape_record():
         stack_step(st, d)
     assert len(tape) == 1
     with Tape() as tape:
-        stack_step(st, d, alive=np.array([True, False, True, True]), prev_read=leaves["read0"])
+        stack_step(st, d, alive=np.array([True, False, True, True]))
     assert len(tape) == 1
     with Tape() as tape:
         stack_pop(st, leaves["u0"])
@@ -520,8 +534,5 @@ def test_alive_mask_errors():
     d = StackDirectives(v=f64(np.ones((2, 2))), u=f64([0.5, 0.5]), d=f64([1.0, 1.0]), r=f64([1.0, 1.0]))
     with pytest.raises(StackError, match="alive mask shape"):
         stack_step(st, d, alive=np.array([True, False, True]))
-    with pytest.raises(StackError, match="prev_read"):
-        stack_step(st, d, alive=np.array([True, False]))
-    # an all-alive mask needs no previous read
     _, read = stack_step(st, d, alive=np.array([True, True]))
     np.testing.assert_allclose(read.data, np.ones((2, 2)))
