@@ -467,6 +467,7 @@ def test_fused_step_frozen_rows_pass_through():
         assert grads[leaves[name]][1] == 0.0
         assert grads[leaves[name]][0] != 0.0
     assert grads[leaves["r0"]][1] != 0.0
+    assert np.all(grads[leaves["v0"]][1] == 0.0)  # its zero-strength push
 
 
 @pytest.mark.parametrize("batch", [None, 3])
